@@ -21,14 +21,14 @@ table = lm.forward(params, seq)
 print(f"forward table shape {table.shape}; each row sums to "
       f"{np.exp(table).sum(axis=1).round(12)[0]} in probability")
 
-zero = lm.LMParameters(*[np.zeros_like(a) for a in params.arrays()])
+zero = lm.LMParameters(np.zeros(params.num_params), 10, 8, 8)
 print(f"\nuniform (all-zero-weights) model on 5 predicted positions:")
 print(f"  nll = {lm.nll(zero, seq):.6f}  (= 5*ln(10) = {5*math.log(10):.6f})")
 print(f"  perplexity = {lm.perplexity(zero, seq):.6f}  (= vocabulary size 10)")
 
 # Analytic gradient vs central finite differences on a few coordinates.
 value, grad = lm.per_example_gradient(params, seq)
-flat = params.flat()
+flat = params.theta
 h = 1e-5
 print("\nfinite-difference spot check (5 random coordinates):")
 rng = np.random.default_rng(1)
@@ -37,10 +37,10 @@ for idx in rng.choice(flat.size, size=5, replace=False):
     up[idx] += h
     dn[idx] -= h
     numeric = (
-        lm.nll(lm.LMParameters.from_flat(up, 10, 8, 8), seq)
-        - lm.nll(lm.LMParameters.from_flat(dn, 10, 8, 8), seq)
+        lm.nll(lm.LMParameters(up, 10, 8, 8), seq)
+        - lm.nll(lm.LMParameters(dn, 10, 8, 8), seq)
     ) / (2 * h)
-    print(f"  coord {idx:4d}: analytic {grad.flat()[idx]:+.8f}  numeric {numeric:+.8f}")
+    print(f"  coord {idx:4d}: analytic {grad[idx]:+.8f}  numeric {numeric:+.8f}")
 
 print("\noverfitting one sequence for 300 steps:")
 target = TokenSequence.from_text("w1 w2 w3", vocab)

@@ -15,25 +15,26 @@ params = lm.init_params(vocab.size, 8, 8, seed=0)
 batch = [TokenSequence.from_text(f"w{i} w{(i+1)%11} w{(i+2)%11} w{(i+3)%11}", vocab)
          for i in range(6)]
 
-# Clipping bounds each example's influence on the update.
-_, grad = lm.per_example_gradient(params, batch[0])
-clipped = privacy.clip(grad, clip_bound=0.5)
-print(f"gradient norm {grad.norm():.4f} -> clipped to {clipped.norm():.4f} (bound 0.5)")
-print("clipping is idempotent:",
-      np.array_equal(privacy.clip(clipped, 0.5).flat(), clipped.flat()))
+# Clipping bounds each example's influence on the update: every row of the
+# per-example gradient stack is scaled to L2 norm at most the bound.
+_, stacked = lm.batch_gradients(params, batch)
+clipped = stacked * privacy.clip_scales(stacked, clip_bound=0.5)[:, None]
+print("per-example gradient norms:", np.linalg.norm(stacked, axis=1).round(4))
+print("after clipping to 0.5:     ", np.linalg.norm(clipped, axis=1).round(4))
+print("clipping is idempotent:", bool(np.all(privacy.clip_scales(clipped, 0.5) == 1.0)))
 
 spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
 stepped = privacy.dp_sgd_step(params, batch, spec, noise=42)
 again = privacy.dp_sgd_step(params, batch, spec, noise=42)
 print("private step is bit-reproducible under a fixed noise seed:",
-      all(np.array_equal(a, b) for a, b in zip(stepped.arrays(), again.arrays())))
+      np.array_equal(stepped.theta, again.theta))
 
 # With vanishing noise and an inactive bound, the private step IS plain SGD.
 wide = privacy.PrivacySpec(sigma=1e-300, clip_bound=1e9, delta=1e-5, alpha=2.0, eta=0.1)
 private = privacy.dp_sgd_step(params, batch, wide, noise=0)
 plain = privacy.plain_sgd_step(params, batch, eta=0.1)
 print("sigma->0, no clipping: private step == plain step bit-for-bit:",
-      all(np.array_equal(a, b) for a, b in zip(private.arrays(), plain.arrays())))
+      np.array_equal(private.theta, plain.theta))
 
 # Accounting: one clipped+noised step costs alpha/(2 sigma^2) in order-alpha RDP.
 eps_step = privacy.gaussian_rdp_epsilon(sigma=1.0, alpha=2.0)

@@ -20,7 +20,6 @@ from privlm.detector import (
     partition_batch,
     train_detector,
 )
-from privlm.lm import Gradient
 
 aug = AugmentationConfig(synonym_table=default_synonyms(), substitution_rate=0.5,
                          passes=12, seed=5)
@@ -85,7 +84,7 @@ seqs = [TokenSequence.from_text(f"{w} security code is 450", audit_vocab)
 params = lm.init_params(audit_vocab.size, 12, 12, seed=1)
 for _ in range(250):
     _, stacked = lm.batch_gradients(params, seqs)
-    params = lm.apply_update(params, Gradient.from_flat(stacked.mean(axis=0), params), 0.5)
+    params = lm.apply_update(params, stacked.mean(axis=0), 0.5)
 
 target = TokenSequence.from_text("alpha security code is 450", audit_vocab)
 audit = audit_context(params, target, target_index=5, alpha=0.1,

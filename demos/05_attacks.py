@@ -25,7 +25,6 @@ from privlm.corpus import (
     plant_canary,
     split_corpus,
 )
-from privlm.lm import Gradient
 
 workdir = Path(tempfile.mkdtemp(prefix="demo05_"))
 data = synth.generate_desk_corpus(n_lines=500, sensitive_fraction=0.1, seed=4)
@@ -42,7 +41,7 @@ params = lm.init_params(corpus.vocabulary.size, 32, 32, seed=0)
 for epoch in range(1, 16):
     for batch in minibatches(train, 16, seed=1, epoch=epoch):
         _, stacked = lm.batch_gradients(params, batch)
-        params = lm.apply_update(params, Gradient.from_flat(stacked.mean(axis=0), params), 0.8)
+        params = lm.apply_update(params, stacked.mean(axis=0), 0.8)
 print(f"trained 15 epochs; validation perplexity {lm.corpus_perplexity(params, test):.2f}")
 
 candidates = enumerate_canaries(template, corpus.vocabulary)

@@ -38,7 +38,6 @@ from .detector import (
 )
 from .experiment import ExperimentConfig, run_attacks, train
 from .lm import (
-    Gradient,
     LMParameters,
     apply_update,
     corpus_perplexity,
@@ -51,7 +50,6 @@ from .lm import (
 from .privacy import (
     AccountantState,
     PrivacySpec,
-    clip,
     dp_sgd_step,
     gaussian_rdp_epsilon,
     rdp_to_dp,

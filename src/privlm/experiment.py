@@ -351,7 +351,7 @@ def train(config: ExperimentConfig) -> dict:
                 private_steps += 1
             if batch_ns:
                 params = privacy.plain_sgd_step(params, batch_ns, config["eta"])
-        if not all(np.isfinite(a).all() for a in params.arrays()):
+        if not np.isfinite(params.theta).all():
             diverged = True
             break
         valid_ppl = lm.corpus_perplexity(params, test_corpus)

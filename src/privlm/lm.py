@@ -5,8 +5,9 @@ Everything is float64 numpy; gradients are computed analytically by
 backpropagation through time over the whole sequence, so each training
 example yields one exact gradient (the unit the privacy machinery clips).
 
-Parameter layout (the documented flat order, used by checkpoints and
-``flat()``):
+Parameters live in one contiguous float64 vector ``theta``; the named
+arrays are reshaped views of it, in this order (which is also the checkpoint
+layout). Gradients and updates are plain flat vectors in the same order.
 
     emb      (vocab, d_emb)        token embeddings, row-major
     lstm_W   (4*d_hid, d_emb+d_hid) gate weights, gate blocks [input, forget,
@@ -16,14 +17,14 @@ Parameter layout (the documented flat order, used by checkpoints and
     out_b    (vocab,)               output bias
 
 Checkpoint format: magic ``CADPLM1``, three little-endian uint32
-(vocab, d_emb, d_hid), then the flat parameter vector as little-endian
-float64.
+(vocab, d_emb, d_hid), then ``theta`` as little-endian float64.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ import numpy as np
 from .corpus import Corpus, TokenSequence
 
 CHECKPOINT_MAGIC = b"CADPLM1"
+_DIMS = struct.Struct("<III")  # vocab, d_emb, d_hid after the magic
+# Sequences per forward pass in sequence_nlls. The batch shape sets how BLAS
+# blocks the matmuls, so this value is part of every evaluated NLL's bits.
+_NLL_CHUNK = 64
 
 
 class LMError(ValueError):
@@ -47,64 +52,47 @@ def _array_shapes(vocab: int, d_emb: int, d_hid: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
+def _num_params(vocab: int, d_emb: int, d_hid: int) -> int:
+    return sum(math.prod(s) for s in _array_shapes(vocab, d_emb, d_hid))
 
 
-def _unflatten(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    out, offset = [], 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        out.append(flat[offset : offset + n].reshape(shape).copy())
-        offset += n
-    if offset != flat.size:
-        raise LMError(f"flat vector has {flat.size} entries, expected {offset}")
-    return out
-
-
-@dataclass
+@dataclass(eq=False)
 class LMParameters:
-    """Dense parameter container; see module docstring for the flat order."""
+    """The flat parameter vector ``theta`` and its named views.
 
-    emb: np.ndarray
-    lstm_W: np.ndarray
-    lstm_b: np.ndarray
-    out_W: np.ndarray
-    out_b: np.ndarray
+    ``emb``, ``lstm_W``, ``lstm_b``, ``out_W`` and ``out_b`` are reshaped
+    views of ``theta`` in the module docstring's order, so writing to one
+    writes to ``theta``.
+    """
 
-    @property
-    def vocab_size(self) -> int:
-        return self.emb.shape[0]
+    theta: np.ndarray
+    vocab_size: int
+    d_emb: int
+    d_hid: int
+    emb: np.ndarray = field(init=False, repr=False)
+    lstm_W: np.ndarray = field(init=False, repr=False)
+    lstm_b: np.ndarray = field(init=False, repr=False)
+    out_W: np.ndarray = field(init=False, repr=False)
+    out_b: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def d_emb(self) -> int:
-        return self.emb.shape[1]
-
-    @property
-    def d_hid(self) -> int:
-        return self.out_W.shape[0]
+    def __post_init__(self):
+        n = _num_params(self.vocab_size, self.d_emb, self.d_hid)
+        if self.theta.shape != (n,):
+            raise LMError(f"flat vector has shape {self.theta.shape}, expected ({n},)")
+        views, offset = [], 0
+        for shape in _array_shapes(self.vocab_size, self.d_emb, self.d_hid):
+            size = math.prod(shape)
+            views.append(self.theta[offset : offset + size].reshape(shape))
+            offset += size
+        self.emb, self.lstm_W, self.lstm_b, self.out_W, self.out_b = views
 
     @property
     def num_params(self) -> int:
-        return sum(a.size for a in self.arrays())
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.emb, self.lstm_W, self.lstm_b, self.out_W, self.out_b]
-
-    def flat(self) -> np.ndarray:
-        return _flatten(self.arrays())
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, vocab: int, d_emb: int, d_hid: int) -> "LMParameters":
-        return cls(*_unflatten(flat, _array_shapes(vocab, d_emb, d_hid)))
-
-    def copy(self) -> "LMParameters":
-        return LMParameters(*[a.copy() for a in self.arrays()])
+        return self.theta.size
 
     def save(self, path: str | Path) -> None:
-        header = CHECKPOINT_MAGIC + struct.pack("<III", self.vocab_size, self.d_emb, self.d_hid)
-        body = self.flat().astype("<f8").tobytes()
-        Path(path).write_bytes(header + body)
+        header = CHECKPOINT_MAGIC + _DIMS.pack(self.vocab_size, self.d_emb, self.d_hid)
+        Path(path).write_bytes(header + self.theta.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path: str | Path, expect_vocab: int | None = None) -> "LMParameters":
@@ -112,45 +100,16 @@ class LMParameters:
         if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
             raise LMError(f"{path}: not a model checkpoint (bad magic)")
         off = len(CHECKPOINT_MAGIC)
-        vocab, d_emb, d_hid = struct.unpack_from("<III", raw, off)
-        off += struct.calcsize("<III")
+        if len(raw) < off + _DIMS.size:
+            raise LMError(f"{path}: checkpoint header is truncated")
+        vocab, d_emb, d_hid = _DIMS.unpack_from(raw, off)
+        off += _DIMS.size
         if expect_vocab is not None and vocab != expect_vocab:
             raise LMError(f"{path}: checkpoint vocabulary size {vocab} != expected {expect_vocab}")
-        shapes = _array_shapes(vocab, d_emb, d_hid)
-        n = sum(int(np.prod(s)) for s in shapes)
-        if len(raw) - off != 8 * n:
+        if len(raw) - off != 8 * _num_params(vocab, d_emb, d_hid):
             raise LMError(f"{path}: checkpoint body has wrong size")
-        flat = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
-        return cls.from_flat(flat, vocab, d_emb, d_hid)
-
-
-@dataclass
-class Gradient:
-    """Gradient of the NLL w.r.t. every parameter; same layout as LMParameters."""
-
-    emb: np.ndarray
-    lstm_W: np.ndarray
-    lstm_b: np.ndarray
-    out_W: np.ndarray
-    out_b: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.emb, self.lstm_W, self.lstm_b, self.out_W, self.out_b]
-
-    def flat(self) -> np.ndarray:
-        return _flatten(self.arrays())
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays())))
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, params: LMParameters) -> "Gradient":
-        shapes = _array_shapes(params.vocab_size, params.d_emb, params.d_hid)
-        return cls(*_unflatten(flat, shapes))
-
-    @classmethod
-    def zeros_like(cls, params: LMParameters) -> "Gradient":
-        return cls(*[np.zeros_like(a) for a in params.arrays()])
+        theta = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
+        return cls(theta, vocab, d_emb, d_hid)
 
 
 def init_params(vocab_size: int, d_emb: int, d_hid: int, seed: int) -> LMParameters:
@@ -158,8 +117,8 @@ def init_params(vocab_size: int, d_emb: int, d_hid: int, seed: int) -> LMParamet
     if min(vocab_size, d_emb, d_hid) < 1:
         raise LMError("all dimensions must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    arrays = [rng.uniform(-0.1, 0.1, size=s) for s in _array_shapes(vocab_size, d_emb, d_hid)]
-    params = LMParameters(*arrays)
+    theta = rng.uniform(-0.1, 0.1, size=_num_params(vocab_size, d_emb, d_hid))
+    params = LMParameters(theta, vocab_size, d_emb, d_hid)
     params.lstm_b[d_hid : 2 * d_hid] = 1.0
     return params
 
@@ -209,7 +168,7 @@ def _pack_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray, np.n
 class _ForwardCache:
     """Per-step activations retained for backpropagation through time."""
 
-    __slots__ = ("X", "Y", "M", "z", "gates", "c_prev", "ct", "h", "logp")
+    __slots__ = ("X", "Y", "M", "z", "gates", "c_prev", "ct", "h", "logp", "nlls")
 
     def __init__(self):
         self.z: list[np.ndarray] = []
@@ -230,6 +189,8 @@ def _forward_batch(params: LMParameters, seqs: list[TokenSequence]) -> _ForwardC
 
     h = np.zeros((B, H))
     c = np.zeros((B, H))
+    nll_terms = np.zeros((B, T))
+    rows = np.arange(B)
     Wt = params.lstm_W.T  # (E+H, 4H)
     for t in range(T):
         z = np.concatenate([params.emb[X[:, t]], h], axis=1)
@@ -246,12 +207,14 @@ def _forward_batch(params: LMParameters, seqs: list[TokenSequence]) -> _ForwardC
         logits = h @ params.out_W + params.out_b
         m = logits.max(axis=1, keepdims=True)
         logp = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+        nll_terms[:, t] = -logp[rows, Y[:, t]] * M[:, t]
 
         cache.z.append(z)
         cache.gates.append((i, f, g, o))
         cache.ct.append(ct)
         cache.h.append(h)
         cache.logp.append(logp)
+    cache.nlls = nll_terms.sum(axis=1)
     return cache
 
 
@@ -278,11 +241,11 @@ def perplexity(params: LMParameters, seq: TokenSequence) -> float:
     return float(np.exp(nll(params, seq) / n_pred))
 
 
-def sequence_nlls(params: LMParameters, seqs: list[TokenSequence], chunk: int = 64) -> np.ndarray:
-    """Total NLL of each sequence, evaluated in batches for speed."""
+def sequence_nlls(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray:
+    """Total NLL of each sequence, evaluated in forward-only batches for speed."""
     out = np.empty(len(seqs))
-    for start in range(0, len(seqs), chunk):
-        nlls, _ = _batch_nll_and_flat_grads(params, seqs[start : start + chunk], want_grads=False)
+    for start in range(0, len(seqs), _NLL_CHUNK):
+        nlls = _forward_batch(params, seqs[start : start + _NLL_CHUNK]).nlls
         out[start : start + len(nlls)] = nlls
     return out
 
@@ -302,10 +265,8 @@ def corpus_perplexity(params: LMParameters, corpus: Corpus | list[TokenSequence]
     return float(np.exp(float(nlls.sum()) / total_pred))
 
 
-def _batch_nll_and_flat_grads(
-    params: LMParameters, seqs: list[TokenSequence], want_grads: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-example NLLs and, optionally, stacked flat gradients (B, num_params).
+def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example NLLs (B,) and stacked flat per-example gradients (B, P).
 
     This is the single gradient implementation in the package; the scalar
     :func:`per_example_gradient` wraps it with B=1, so the finite-difference
@@ -315,14 +276,7 @@ def _batch_nll_and_flat_grads(
     X, Y, M = cache.X, cache.Y, cache.M
     B, T = X.shape
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
-
-    nll_terms = np.zeros((B, T))
     rows = np.arange(B)
-    for t in range(T):
-        nll_terms[:, t] = -cache.logp[t][rows, Y[:, t]] * M[:, t]
-    nlls = nll_terms.sum(axis=1)
-    if not want_grads:
-        return nlls, None
 
     # The recurrence forces a sequential sweep over time, but the expensive
     # outer-product accumulations are deferred: per-step vectors are collected
@@ -383,24 +337,19 @@ def _batch_nll_and_flat_grads(
         ],
         axis=1,
     )
-    return nlls, stacked
+    return cache.nlls, stacked
 
 
-def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example NLLs (B,) and stacked flat per-example gradients (B, P)."""
-    nlls, stacked = _batch_nll_and_flat_grads(params, seqs, want_grads=True)
-    return nlls, stacked
+def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[float, np.ndarray]:
+    """Exact analytic gradient of the sequence NLL via full-length BPTT, flat (P,)."""
+    nlls, stacked = batch_gradients(params, [seq])
+    return float(nlls[0]), stacked[0]
 
 
-def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[float, Gradient]:
-    """Exact analytic gradient of the sequence NLL via full-length BPTT."""
-    nlls, stacked = _batch_nll_and_flat_grads(params, [seq], want_grads=True)
-    return float(nlls[0]), Gradient.from_flat(stacked[0], params)
-
-
-def apply_update(params: LMParameters, update: Gradient, eta: float) -> LMParameters:
-    """Gradient-descent step: returns params - eta * update."""
-    for a, u in zip(params.arrays(), update.arrays()):
-        if a.shape != u.shape:
-            raise LMError(f"update shape {u.shape} does not match parameter shape {a.shape}")
-    return LMParameters(*[a - eta * u for a, u in zip(params.arrays(), update.arrays())])
+def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:
+    """Gradient-descent step: returns new parameters theta - eta * update."""
+    if update.shape != params.theta.shape:
+        raise LMError(
+            f"update shape {update.shape} does not match parameter shape {params.theta.shape}"
+        )
+    return LMParameters(params.theta - eta * update, params.vocab_size, params.d_emb, params.d_hid)

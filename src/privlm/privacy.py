@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lm
 from .corpus import TokenSequence
-from .lm import Gradient, LMParameters
+from .lm import LMParameters
 
 
 class PrivacyError(ValueError):
@@ -85,33 +85,16 @@ class AccountantState:
             raise PrivacyError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-def clip(g: Gradient, clip_bound: float) -> Gradient:
-    """Scale ``g`` to L2 norm at most ``clip_bound``, preserving direction.
-
-    The scaled norm is re-verified and the factor nudged down by ulps if
-    rounding pushed it past the bound, so the norm contract holds exactly in
-    float arithmetic and clipping is exactly idempotent.
-    """
-    if clip_bound <= 0:
-        raise PrivacyError(f"clip bound must be > 0, got {clip_bound}")
-    flat = g.flat()
-    if not np.all(np.isfinite(flat)):
-        raise PrivacyError("gradient contains non-finite entries")
-    norm = float(np.linalg.norm(flat))
-    if norm <= clip_bound:
-        return g
-    scale = clip_bound / norm
-    while float(np.linalg.norm(flat * scale)) > clip_bound:
-        scale = np.nextafter(scale, 0.0)
-    return Gradient(*[a * scale for a in g.arrays()])
-
-
 def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
     """Per-example factors min(1, C/||g_i||) for stacked flat gradients (B, P).
 
-    Like :func:`clip`, factors are nudged down by ulps where rounding would
-    leave a scaled norm above the bound.
+    Each factor is re-verified and nudged down by ulps where rounding would
+    leave a scaled norm above the bound, so ||s_i * g_i|| <= C holds exactly
+    in float arithmetic and clipping the scaled rows again gives factors of
+    exactly 1.
     """
+    if clip_bound <= 0:
+        raise PrivacyError(f"clip bound must be > 0, got {clip_bound}")
     norms = np.linalg.norm(stacked, axis=1)
     # A non-finite entry anywhere makes its row norm inf or nan.
     if not np.all(np.isfinite(norms)):
@@ -167,7 +150,7 @@ def dp_sgd_step(
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")
     _, stacked = lm.batch_gradients(params, batch_S)
     update_flat = noisy_clipped_mean(stacked, spec.clip_bound, spec.sigma, _as_rng(noise))
-    return lm.apply_update(params, Gradient.from_flat(update_flat, params), spec.eta)
+    return lm.apply_update(params, update_flat, spec.eta)
 
 
 def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float) -> LMParameters:
@@ -182,7 +165,7 @@ def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float)
     _, stacked = lm.batch_gradients(params, batch)
     scales = np.ones(stacked.shape[0])
     update_flat = (scales @ stacked) / stacked.shape[0]
-    return lm.apply_update(params, Gradient.from_flat(update_flat, params), eta)
+    return lm.apply_update(params, update_flat, eta)
 
 
 def gaussian_rdp_epsilon(sigma: float, alpha: float) -> float:

@@ -20,15 +20,15 @@ from privlm.lm import LMParameters
 
 def finite_difference_gradient(params: LMParameters, seq: TokenSequence, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the sequence NLL over every parameter."""
-    flat = params.flat()
+    flat = params.theta
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         up = flat.copy()
         up[i] += h
         dn = flat.copy()
         dn[i] -= h
-        f_up = lm.nll(lm.LMParameters.from_flat(up, params.vocab_size, params.d_emb, params.d_hid), seq)
-        f_dn = lm.nll(lm.LMParameters.from_flat(dn, params.vocab_size, params.d_emb, params.d_hid), seq)
+        f_up = lm.nll(lm.LMParameters(up, params.vocab_size, params.d_emb, params.d_hid), seq)
+        f_dn = lm.nll(lm.LMParameters(dn, params.vocab_size, params.d_emb, params.d_hid), seq)
         grad[i] = (f_up - f_dn) / (2.0 * h)
     return grad
 

@@ -20,7 +20,6 @@ from privlm.detector import (
     partition_batch,
     train_detector,
 )
-from privlm.lm import Gradient
 
 
 NEUTRAL_LINES = [
@@ -275,7 +274,7 @@ def context_lm():
     params = lm.init_params(vocab.size, 12, 12, seed=1)
     for _ in range(300):
         _, stacked = lm.batch_gradients(params, seqs)
-        params = lm.apply_update(params, Gradient.from_flat(stacked.mean(axis=0), params), 0.5)
+        params = lm.apply_update(params, stacked.mean(axis=0), 0.5)
     return params, vocab
 
 

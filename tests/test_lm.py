@@ -5,7 +5,7 @@ import pytest
 
 from privlm import lm
 from privlm.corpus import TokenSequence
-from privlm.lm import Gradient, LMError, LMParameters
+from privlm.lm import LMError, LMParameters
 
 from oracles import finite_difference_gradient
 
@@ -25,8 +25,7 @@ class TestInit:
     def test_deterministic(self):
         a = lm.init_params(10, 4, 4, seed=7)
         b = lm.init_params(10, 4, 4, seed=7)
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_paper_scale_shapes(self):
         params = lm.init_params(50, 200, 200, seed=0)
@@ -50,8 +49,7 @@ class TestInit:
 
 class TestForward:
     def test_zero_weights_give_uniform(self):
-        shapes = lm.init_params(10, 4, 4, seed=0)
-        zero = LMParameters(*[np.zeros_like(a) for a in shapes.arrays()])
+        zero = LMParameters(np.zeros(lm.init_params(10, 4, 4, seed=0).num_params), 10, 4, 4)
         seq = TokenSequence(ids=(1, 2, 3, 4), source_text="t")
         table = lm.forward(zero, seq)
         assert np.allclose(table, -math.log(10), atol=1e-12)
@@ -92,8 +90,7 @@ class TestForward:
 
 class TestNllPerplexity:
     def test_uniform_model_values(self):
-        shapes = lm.init_params(10, 4, 4, seed=0)
-        zero = LMParameters(*[np.zeros_like(a) for a in shapes.arrays()])
+        zero = LMParameters(np.zeros(lm.init_params(10, 4, 4, seed=0).num_params), 10, 4, 4)
         seq = TokenSequence(ids=(1, 2, 3, 4, 5, 6), source_text="t")  # 5 predictions
         assert lm.nll(zero, seq) == pytest.approx(5 * math.log(10), abs=1e-9)
         assert lm.perplexity(zero, seq) == pytest.approx(10.0, abs=1e-9)
@@ -125,7 +122,7 @@ class TestGradients:
             seq = random_seq(rng, 12, 6)
             _, grad = lm.per_example_gradient(params, seq)
             numeric = finite_difference_gradient(params, seq)
-            rel = np.abs(grad.flat() - numeric) / np.maximum(np.abs(numeric), _REL_FLOOR)
+            rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), _REL_FLOOR)
             assert rel.max() < 1e-4
 
     def test_unused_embedding_rows_have_zero_gradient(self):
@@ -135,7 +132,7 @@ class TestGradients:
         used = {1, 2}
         for row in range(10):
             if row not in used:
-                assert np.all(grad.emb[row] == 0.0)
+                assert np.all(LMParameters(grad, 10, 4, 4).emb[row] == 0.0)
 
     def test_batch_loss_gradient_is_mean_of_per_example(self):
         params = lm.init_params(11, 6, 6, seed=4)
@@ -145,23 +142,16 @@ class TestGradients:
         singles = [lm.per_example_gradient(params, s) for s in seqs]
         for b, (val, grad) in enumerate(singles):
             assert nlls[b] == pytest.approx(val, rel=1e-12)
-            assert np.allclose(stacked[b], grad.flat(), rtol=1e-10, atol=1e-12)
-        mean_manual = np.mean([g.flat() for _, g in singles], axis=0)
+            assert np.allclose(stacked[b], grad, rtol=1e-10, atol=1e-12)
+        mean_manual = np.mean([g for _, g in singles], axis=0)
         assert np.allclose(stacked.mean(axis=0), mean_manual, rtol=1e-10, atol=1e-14)
 
     def test_flat_roundtrip_exact(self):
+        # The named views tile theta exactly, in the documented order, as views.
         params = lm.init_params(10, 4, 4, seed=6)
-        seq = TokenSequence(ids=(1, 2, 3, 4), source_text="t")
-        _, grad = lm.per_example_gradient(params, seq)
-        rebuilt = Gradient.from_flat(grad.flat(), params)
-        for a, b in zip(grad.arrays(), rebuilt.arrays()):
-            assert np.array_equal(a, b)
-
-    def test_gradient_norm_is_flat_norm(self):
-        params = lm.init_params(10, 4, 4, seed=6)
-        seq = TokenSequence(ids=(3, 1, 2), source_text="t")
-        _, grad = lm.per_example_gradient(params, seq)
-        assert grad.norm() == pytest.approx(np.linalg.norm(grad.flat()), rel=1e-12)
+        views = [params.emb, params.lstm_W, params.lstm_b, params.out_W, params.out_b]
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.theta)
+        assert all(np.shares_memory(v, params.theta) for v in views)
 
 
 class TestApplyUpdate:
@@ -172,21 +162,18 @@ class TestApplyUpdate:
 
     def test_eta_zero_is_identity(self):
         updated = lm.apply_update(self.params, self.grad, 0.0)
-        for a, b in zip(updated.arrays(), self.params.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(updated.theta, self.params.theta)
 
     def test_zero_update_is_identity(self):
-        zero = Gradient.zeros_like(self.params)
+        zero = np.zeros_like(self.params.theta)
         updated = lm.apply_update(self.params, zero, 0.3)
-        for a, b in zip(updated.arrays(), self.params.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(updated.theta, self.params.theta)
 
     def test_two_half_steps_equal_one_full_step(self):
         one = lm.apply_update(self.params, self.grad, 0.2)
         half = lm.apply_update(self.params, self.grad, 0.1)
         two = lm.apply_update(half, self.grad, 0.1)
-        for a, b in zip(one.arrays(), two.arrays()):
-            assert np.allclose(a, b, rtol=0, atol=1e-15)
+        assert np.allclose(one.theta, two.theta, rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         other = lm.init_params(9, 4, 4, seed=2)
@@ -210,7 +197,7 @@ class TestTrainingSanity:
         for _ in range(50):
             _, stacked = lm.batch_gradients(params, seqs)
             mean = stacked.mean(axis=0)
-            params = lm.apply_update(params, Gradient.from_flat(mean, params), 0.1)
+            params = lm.apply_update(params, mean, 0.1)
             losses.append(total_nll(params))
         diffs = np.diff(losses)
         assert np.all(diffs < 0.0)
@@ -223,8 +210,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         params.save(path)
         loaded = LMParameters.load(path)
-        for a, b in zip(params.arrays(), loaded.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.theta, loaded.theta)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -246,6 +232,12 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(LMError, match="size"):
+            LMParameters.load(path)
+
+    def test_rejects_truncated_header(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"CADPLM1\x0d\x00")
+        with pytest.raises(LMError, match="truncated"):
             LMParameters.load(path)
 
     def test_header_layout(self, tmp_path):

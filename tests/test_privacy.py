@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from privlm import lm, privacy
 from privlm.corpus import TokenSequence
-from privlm.lm import Gradient
 from privlm.privacy import (
     AccountantState,
     PrivacyError,
     PrivacySpec,
-    clip,
     clip_scales,
     dp_sgd_step,
     gaussian_rdp_epsilon,
@@ -29,7 +27,12 @@ from oracles import renyi_divergence_quadrature
 def grad_from_vector(vec, params):
     flat = np.zeros(params.num_params)
     flat[: len(vec)] = vec
-    return Gradient.from_flat(flat, params)
+    return flat
+
+
+def clip_one(g, c):
+    """Clip one flat gradient with clip_scales, as a batch of one row."""
+    return g * clip_scales(g[None, :], c)[0]
 
 
 @pytest.fixture(scope="module")
@@ -40,26 +43,29 @@ def tiny_params():
 class TestClip:
     def test_three_four_clipped_to_bound(self, tiny_params):
         g = grad_from_vector([3.0, 4.0], tiny_params)
-        clipped = clip(g, 2.5)
-        flat = clipped.flat()
+        flat = clip_one(g, 2.5)
         assert flat[0] == pytest.approx(1.5)
         assert flat[1] == pytest.approx(2.0)
         assert np.linalg.norm(flat) == pytest.approx(2.5)
 
     def test_below_bound_unchanged(self, tiny_params):
         g = grad_from_vector([3.0, 4.0], tiny_params)
-        clipped = clip(g, 10.0)
-        assert np.array_equal(clipped.flat(), g.flat())
+        assert np.array_equal(clip_one(g, 10.0), g)
 
     def test_zero_vector(self, tiny_params):
-        g = Gradient.zeros_like(tiny_params)
-        clipped = clip(g, 1.0)
-        assert np.all(clipped.flat() == 0.0)
+        g = np.zeros(tiny_params.num_params)
+        assert np.all(clip_one(g, 1.0) == 0.0)
 
     def test_nonfinite_rejected(self, tiny_params):
         g = grad_from_vector([np.inf, 1.0], tiny_params)
         with pytest.raises(PrivacyError, match="non-finite"):
-            clip(g, 1.0)
+            clip_one(g, 1.0)
+
+    def test_nonpositive_bound_rejected(self, tiny_params):
+        g = grad_from_vector([3.0, 4.0], tiny_params)
+        for c in (0.0, -1.0):
+            with pytest.raises(PrivacyError, match="clip bound"):
+                clip_one(g, c)
 
     def test_idempotent_and_direction_preserving(self, tiny_params):
         rng = np.random.default_rng(0)
@@ -67,14 +73,12 @@ class TestClip:
             vec = rng.normal(size=8) * rng.uniform(0.1, 10)
             g = grad_from_vector(vec, tiny_params)
             c = rng.uniform(0.2, 5.0)
-            once = clip(g, c)
-            twice = clip(once, c)
-            assert np.array_equal(once.flat(), twice.flat())
-            assert np.linalg.norm(once.flat()) <= c + 1e-12
+            once = clip_one(g, c)
+            assert clip_scales(once[None, :], c)[0] == 1.0
+            assert np.linalg.norm(once) <= c + 1e-12
             # direction preserved: clipped is a nonnegative multiple of input
-            flat_in, flat_out = g.flat(), once.flat()
-            nz = flat_in != 0
-            ratios = flat_out[nz] / flat_in[nz]
+            nz = g != 0
+            ratios = once[nz] / g[nz]
             assert np.allclose(ratios, ratios[0])
             assert ratios[0] >= 0
 
@@ -103,8 +107,7 @@ class TestDpSgdStep:
         spec = PrivacySpec(sigma=1e-300, clip_bound=big_c, delta=1e-5, alpha=2.0, eta=0.1)
         private = dp_sgd_step(tiny_params, batch, spec, noise=0)
         plain = plain_sgd_step(tiny_params, batch, eta=0.1)
-        for a, b in zip(private.arrays(), plain.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(private.theta, plain.theta)
 
     def test_fixed_seed_bit_identical(self, tiny_params):
         rng = np.random.default_rng(2)
@@ -112,8 +115,7 @@ class TestDpSgdStep:
         spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
         a = dp_sgd_step(tiny_params, batch, spec, noise=123)
         b = dp_sgd_step(tiny_params, batch, spec, noise=123)
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_empty_batch_rejected(self, tiny_params):
         spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
