@@ -17,28 +17,28 @@ from privlm.corpus import (
     split_corpus,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="demo01_"))
-corpus_file = workdir / "corpus.txt"
-corpus_file.write_text(
-    "\n".join(
-        [
-            "the teacher visited the old bridge on monday",
-            "a neighbor painted the quiet garden after lunch",
-            "the baker repaired the wooden boat near the harbor",
-            "the librarian admired the stone cottage in early spring",
-            "the violinist sketched the tall lighthouse on sunday",
-            "the carpenter organized the market stall during the festival",
-            "the student borrowed the small library book on tuesday",
-            "the gardener watered the green meadow before sunrise",
-            "the sailor photographed the empty station in late autumn",
-            "the doctor described the narrow street on thursday",
-        ]
+with tempfile.TemporaryDirectory(prefix="demo01_") as workdir:
+    corpus_file = Path(workdir) / "corpus.txt"
+    corpus_file.write_text(
+        "\n".join(
+            [
+                "the teacher visited the old bridge on monday",
+                "a neighbor painted the quiet garden after lunch",
+                "the baker repaired the wooden boat near the harbor",
+                "the librarian admired the stone cottage in early spring",
+                "the violinist sketched the tall lighthouse on sunday",
+                "the carpenter organized the market stall during the festival",
+                "the student borrowed the small library book on tuesday",
+                "the gardener watered the green meadow before sunrise",
+                "the sailor photographed the empty station in late autumn",
+                "the doctor described the narrow street on thursday",
+            ]
+        )
+        + "\n",
+        encoding="utf-8",
     )
-    + "\n",
-    encoding="utf-8",
-)
 
-corpus = load_corpus(corpus_file, lowercase=True, min_count=1)
+    corpus = load_corpus(corpus_file, lowercase=True, min_count=1)
 print(f"loaded {len(corpus)} sequences, vocabulary size {corpus.vocabulary.size}")
 print("first sequence ids:", corpus.sequences[0].ids)
 print("decoded back:      ", corpus.vocabulary.decode(list(corpus.sequences[0].ids)))

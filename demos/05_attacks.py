@@ -8,7 +8,6 @@ training lines.
 
 import math
 import tempfile
-from pathlib import Path
 
 from privlm import lm, synth
 from privlm.attacks import (
@@ -26,10 +25,10 @@ from privlm.corpus import (
     split_corpus,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="demo05_"))
 data = synth.generate_desk_corpus(n_lines=500, sensitive_fraction=0.1, seed=4)
-paths = synth.write_desk_dataset(data, workdir)
-corpus = load_corpus(paths["corpus"], labels_path=paths["labels"])
+with tempfile.TemporaryDirectory(prefix="demo05_") as workdir:
+    paths = synth.write_desk_dataset(data, workdir)
+    corpus = load_corpus(paths["corpus"], labels_path=paths["labels"])
 train, test = split_corpus(corpus, 0.8, seed=1)
 
 template = CanaryTemplate("my secret code is ", "12345", 2)  # 25 candidates

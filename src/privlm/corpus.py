@@ -284,7 +284,7 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
 
 
 def extend_vocabulary_for_template(
-    corpus: Corpus, template: CanaryTemplate, cap: int = DEFAULT_ENUMERATION_CAP
+    vocabulary: Vocabulary, template: CanaryTemplate, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> None:
     """Add the template's prefix tokens and every candidate fill to the vocabulary.
 
@@ -297,10 +297,10 @@ def extend_vocabulary_for_template(
             f"candidate space {template.candidate_space_size} exceeds enumeration cap {cap}"
         )
     for tok in tokenize(template.prefix):
-        corpus.vocabulary.add(tok)
+        vocabulary.add(tok)
     for fill in template.fills():
         if fill:
-            corpus.vocabulary.add(fill)
+            vocabulary.add(fill)
 
 
 def plant_canary(
@@ -329,7 +329,7 @@ def plant_canary(
         labels = list(corpus.labels) if corpus.labels is not None else None
         return Corpus(list(corpus.sequences), corpus.vocabulary, labels), []
 
-    extend_vocabulary_for_template(corpus, template)
+    extend_vocabulary_for_template(corpus.vocabulary, template)
     sentence = template.sentence(fill)
     canary = TokenSequence.from_text(sentence, corpus.vocabulary, max_len=max_len)
     if len(canary) < 2:
@@ -361,21 +361,8 @@ def enumerate_canaries(
     not already contain are appended. Exactly ``candidate_space_size``
     sequences are returned.
     """
-    if template.candidate_space_size > cap:
-        raise CorpusError(
-            f"candidate space {template.candidate_space_size} exceeds enumeration cap {cap}"
-        )
-    for tok in tokenize(template.prefix):
-        vocabulary.add(tok)
-    out = []
-    for fill in template.fills():
-        if fill:
-            vocabulary.add(fill)
-        sentence = template.sentence(fill)
-        out.append(TokenSequence.from_text(sentence, vocabulary))
-    if not out:
-        raise CorpusError("empty candidate space")
-    return out
+    extend_vocabulary_for_template(vocabulary, template, cap)
+    return [TokenSequence.from_text(template.sentence(fill), vocabulary) for fill in template.fills()]
 
 
 def minibatches(

@@ -12,7 +12,8 @@ shortest suffix of its preceding text whose paraphrase still predicts the
 target almost as well as the full prefix does? Short answers mean the secret
 is triggered by local context alone. The search is restricted to contiguous
 suffixes; general subsequence search would be exponential and
-secret-triggering context is suffix-shaped in practice.
+secret-triggering context is suffix-shaped in practice. The full prefix and
+every paraphrased suffix are scored in one batched language-model pass.
 """
 
 from __future__ import annotations
@@ -150,15 +151,6 @@ def featurize(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matr
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass
 class DetectorModel:
     """Binary sensitive/non-sensitive classifier over hashed n-gram features."""
@@ -172,10 +164,14 @@ class DetectorModel:
 
     def score_texts(self, texts: list[str]) -> np.ndarray:
         X = featurize(texts, self.char_dim, self.word_dim)
-        return _sigmoid(np.asarray(X @ self.weights) + self.bias)
+        return lm._sigmoid(np.asarray(X @ self.weights) + self.bias)
 
     def score(self, text: str) -> float:
         return float(self.score_texts([text])[0])
+
+    def flags(self, texts: list[str]) -> np.ndarray:
+        """Sensitivity decision per text: sigmoid score >= threshold."""
+        return self.score_texts(texts) >= self.threshold
 
     def save(self, path: str | Path) -> None:
         header = (
@@ -195,6 +191,9 @@ class DetectorModel:
         if not fields or fields[0] != DETECTOR_MAGIC:
             raise DetectorError(f"{path}: not a detector checkpoint")
         kv = dict(f.split("=", 1) for f in fields[1:])
+        missing = [k for k in ("char_dim", "word_dim", "threshold", "gamma") if k not in kv]
+        if missing:
+            raise DetectorError(f"{path}: detector header lacks {', '.join(missing)}")
         char_dim, word_dim = int(kv["char_dim"]), int(kv["word_dim"])
         vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
         if vec.size != char_dim + word_dim + 1:
@@ -233,7 +232,7 @@ def classify(model: DetectorModel, seq: TokenSequence | str) -> tuple[bool, floa
     """
     text = seq if isinstance(seq, str) else seq.source_text
     score = model.score(text)
-    return score >= model.threshold, score
+    return bool(model.flags([text])[0]), score
 
 
 @dataclass
@@ -326,12 +325,12 @@ def train_detector(
     b = 0.0
     n = len(train_idx)
     for _ in range(epochs):
-        p = _sigmoid(np.asarray(Xtr @ w) + b)
+        p = lm._sigmoid(np.asarray(Xtr @ w) + b)
         err = p - ytr
         w -= eta * (np.asarray(Xtr.T @ err) / n + l2 * w)
         b -= eta * float(err.mean())
 
-    val_scores = _sigmoid(np.asarray(X[val_idx] @ w) + b)
+    val_scores = lm._sigmoid(np.asarray(X[val_idx] @ w) + b)
     val_y = y[val_idx]
     threshold, gamma = _select_threshold(val_scores, val_y, fpr_cap)
     return DetectorModel(
@@ -380,17 +379,16 @@ def estimate_gamma(model: DetectorModel, held_out_positives: list[str]) -> float
     """Fraction of held-out sensitive texts the detector flags."""
     if not held_out_positives:
         raise DetectorError("cannot estimate gamma on an empty positive set")
-    flags = model.score_texts(held_out_positives) >= model.threshold
-    return float(flags.sum()) / len(held_out_positives)
+    return float(model.flags(held_out_positives).sum()) / len(held_out_positives)
 
 
 def partition_batch(
     model: DetectorModel, batch: list[TokenSequence]
 ) -> tuple[list[TokenSequence], list[TokenSequence]]:
     """Split a batch into (sensitive, non-sensitive), preserving order."""
-    scores = model.score_texts([s.source_text for s in batch]) if batch else np.array([])
-    sensitive = [s for s, sc in zip(batch, scores) if sc >= model.threshold]
-    plain = [s for s, sc in zip(batch, scores) if sc < model.threshold]
+    flags = model.flags([s.source_text for s in batch])
+    sensitive = [s for s, flag in zip(batch, flags) if flag]
+    plain = [s for s, flag in zip(batch, flags) if not flag]
     return sensitive, plain
 
 
@@ -410,21 +408,6 @@ class ContextAudit:
     gap: float
     reference_probability: float
     gaps_by_length: list[float] = field(default_factory=list)
-
-
-def conditional_probability(
-    params: LMParameters, context_ids: list[int], target_id: int
-) -> float:
-    """Model probability of ``target_id`` after consuming ``context_ids``.
-
-    An empty context carries no information, so it scores the target at the
-    zero-knowledge value 1/vocab.
-    """
-    if not context_ids:
-        return 1.0 / params.vocab_size
-    seq = TokenSequence(ids=tuple(context_ids) + (target_id,), source_text="")
-    table = lm.forward(params, seq)
-    return float(np.exp(table[-1, target_id]))
 
 
 def audit_context(
@@ -452,18 +435,18 @@ def audit_context(
 
     prefix_ids = list(seq.ids[: target_index - 1])
     target_id = seq.ids[target_index - 1]
-    p_ref = conditional_probability(params, prefix_ids, target_id)
-
-    gaps: list[float] = []
+    suffixes = []
     for length in range(len(prefix_ids) + 1):
         suffix_ids = prefix_ids[len(prefix_ids) - length :]
         if cfg.substitution_rate > 0 and suffix_ids:
             text = vocabulary.decode(suffix_ids)
             transformed = tokenize(paraphrase(text, cfg, 0))
             suffix_ids = vocabulary.encode_tokens(transformed)
-        p_phi = conditional_probability(params, suffix_ids, target_id)
-        gap = abs(p_ref - p_phi)
-        gaps.append(gap)
+        suffixes.append(suffix_ids)
+    probs = lm.conditional_probabilities(params, [prefix_ids] + suffixes, target_id)
+    p_ref = float(probs[0])
+    gaps = [abs(p_ref - float(p)) for p in probs[1:]]
+    for length, (suffix_ids, gap) in enumerate(zip(suffixes, gaps)):
         if gap <= alpha:
             return ContextAudit(
                 found=True,
@@ -472,7 +455,7 @@ def audit_context(
                 length=length,
                 gap=gap,
                 reference_probability=p_ref,
-                gaps_by_length=gaps,
+                gaps_by_length=gaps[: length + 1],
             )
     return ContextAudit(
         found=False,

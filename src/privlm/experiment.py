@@ -236,8 +236,7 @@ def _sensitivity_flags(
     if regime == "sdpsgd":
         patterns = [re.compile(p) for p in config["secret_pattern"] if p]
         return {t: any(p.search(t) for p in patterns) for t in texts}
-    scores = det.score_texts(texts)
-    return {t: bool(s >= det.threshold) for t, s in zip(texts, scores)}
+    return dict(zip(texts, det.flags(texts).tolist()))
 
 
 def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], int | None]:
@@ -260,7 +259,7 @@ def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], i
         template = _template_from_config(config)
         # Extend even when count is 0 so a control run (no planted copies)
         # yields a model that can still score every candidate fill.
-        extend_vocabulary_for_template(train, template)
+        extend_vocabulary_for_template(train.vocabulary, template)
         train, positions = plant_canary(
             train,
             template,
@@ -421,6 +420,30 @@ def load_manifest(path: str | Path) -> dict:
 # Attacks on a finished run
 # --------------------------------------------------------------------------
 
+def _load_checkpoint(
+    manifest_path: str | Path, epoch: int | None, no_epochs_error: str
+) -> tuple[dict, ExperimentConfig, dict, Vocabulary, lm.LMParameters]:
+    """(manifest, config, epoch entry, vocabulary, parameters) of one checkpoint.
+
+    ``epoch`` None picks the last completed epoch; a run with none raises
+    ``ExperimentError(no_epochs_error)``.
+    """
+    manifest_path = Path(manifest_path)
+    manifest = load_manifest(manifest_path)
+    config = ExperimentConfig(dict(manifest["config"]))
+    if not manifest["epochs"]:
+        raise ExperimentError(no_epochs_error)
+    by_epoch = {e["epoch"]: e for e in manifest["epochs"]}
+    if epoch is None:
+        epoch = max(by_epoch)
+    if epoch not in by_epoch:
+        raise ExperimentError(f"no checkpoint for epoch {epoch}")
+    entry = by_epoch[epoch]
+    vocab = Vocabulary.load(manifest_path.parent / "vocab.txt")
+    params = lm.LMParameters.load(manifest_path.parent / entry["checkpoint"], expect_vocab=vocab.size)
+    return manifest, config, entry, vocab, params
+
+
 def run_attacks(
     manifest_path: str | Path,
     checkpoint_epoch: int | None = None,
@@ -433,23 +456,10 @@ def run_attacks(
     the manifest's config (sensitive-labeled training lines when labels are
     available).
     """
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    run_dir = manifest_path.parent
-    config = ExperimentConfig(dict(manifest["config"]))
-
-    if not manifest["epochs"]:
-        raise ExperimentError("run has no completed epochs to attack")
-    by_epoch = {e["epoch"]: e for e in manifest["epochs"]}
-    if checkpoint_epoch is None:
-        checkpoint_epoch = max(by_epoch)
-    if checkpoint_epoch not in by_epoch:
-        raise ExperimentError(f"no checkpoint for epoch {checkpoint_epoch}")
-    entry = by_epoch[checkpoint_epoch]
-
-    vocab = Vocabulary.load(run_dir / "vocab.txt")
-    params = lm.LMParameters.load(run_dir / entry["checkpoint"], expect_vocab=vocab.size)
-
+    manifest, config, entry, vocab, params = _load_checkpoint(
+        manifest_path, checkpoint_epoch, "run has no completed epochs to attack"
+    )
+    run_dir = Path(manifest_path).parent
     canary_file = run_dir / "canaries.txt"
     if not canary_file.exists():
         raise ExperimentError("attacks need the planted-canary record (canaries.txt is missing)")
@@ -482,7 +492,7 @@ def run_attacks(
     report = attacks_mod.AttackReport(
         run_id=manifest["run_id"],
         regime=manifest["regime"],
-        epoch=checkpoint_epoch,
+        epoch=entry["epoch"],
         valid_perplexity=entry["valid_perplexity"],
         canary_rank=rank,
         exposure=expo,
@@ -501,15 +511,9 @@ def audit_manifest_context(
     manifest_path: str | Path, sentence: str, index: int, alpha: float
 ) -> detector_mod.ContextAudit:
     """Run the minimal-context audit against a run's final checkpoint."""
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    run_dir = manifest_path.parent
-    config = ExperimentConfig(dict(manifest["config"]))
-    if not manifest["epochs"]:
-        raise ExperimentError("run has no completed epochs")
-    entry = manifest["epochs"][-1]
-    vocab = Vocabulary.load(run_dir / "vocab.txt")
-    params = lm.LMParameters.load(run_dir / entry["checkpoint"], expect_vocab=vocab.size)
+    _, config, _, vocab, params = _load_checkpoint(
+        manifest_path, None, "run has no completed epochs"
+    )
     if config["synonyms"]:
         cfg = detector_mod.AugmentationConfig(
             synonym_table=detector_mod.load_synonyms(config["synonyms"]),

@@ -5,6 +5,12 @@ Everything is float64 numpy; gradients are computed analytically by
 backpropagation through time over the whole sequence, so each training
 example yields one exact gradient (the unit the privacy machinery clips).
 
+The LSTM cell and log-softmax are written once, in the step generator
+``_steps``. Every query runs through it: ``batch_gradients`` keeps each
+step's activations for the backward pass, while the scoring functions
+(``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
+step as it arrives and keep no activations.
+
 Parameters live in one contiguous float64 vector ``theta``; the named
 arrays are reshaped views of it, in this order (which is also the checkpoint
 layout). Gradients and updates are plain flat vectors in the same order.
@@ -133,7 +139,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_ids(params: LMParameters, seqs: list[TokenSequence]) -> None:
+def _pack_batch(
+    params: LMParameters, seqs: list[TokenSequence]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check ids and pad to a common length; returns inputs, targets, mask (B,T)."""
+    if not seqs:
+        raise LMError("empty batch")
     vocab = params.vocab_size
     for seq in seqs:
         for tid in seq.ids:
@@ -142,13 +153,6 @@ def _check_ids(params: LMParameters, seqs: list[TokenSequence]) -> None:
                     f"token id {tid} out of range for vocabulary of size {vocab} "
                     f"(sequence {seq.source_text!r})"
                 )
-
-
-def _pack_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad to a common length; returns inputs (B,T), targets (B,T), mask (B,T)."""
-    if not seqs:
-        raise LMError("empty batch")
-    for seq in seqs:
         if len(seq) < 2:
             raise LMError(f"sequence needs at least 2 tokens: {seq.source_text!r}")
     B = len(seqs)
@@ -165,32 +169,19 @@ def _pack_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray, np.n
     return X, Y, M
 
 
-class _ForwardCache:
-    """Per-step activations retained for backpropagation through time."""
+def _steps(params: LMParameters, X: np.ndarray):
+    """The LSTM cell and log-softmax, one time step at a time.
 
-    __slots__ = ("X", "Y", "M", "z", "gates", "c_prev", "ct", "h", "logp", "nlls")
-
-    def __init__(self):
-        self.z: list[np.ndarray] = []
-        self.gates: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.c_prev: list[np.ndarray] = []
-        self.ct: list[np.ndarray] = []
-        self.h: list[np.ndarray] = []
-        self.logp: list[np.ndarray] = []
-
-
-def _forward_batch(params: LMParameters, seqs: list[TokenSequence]) -> _ForwardCache:
-    _check_ids(params, seqs)
-    X, Y, M = _pack_batch(seqs)
+    Yields ``(z, (i, f, g, o), c_prev, ct, h, logp)`` for each column of the
+    packed inputs ``X`` (B, T): the cell input [x_t ; h_{t-1}], the gates,
+    the cell state before and tanh after the update, the hidden state and
+    the (B, V) next-token log-probabilities. Nothing is retained between
+    steps unless the caller keeps it.
+    """
     B, T = X.shape
     H = params.d_hid
-    cache = _ForwardCache()
-    cache.X, cache.Y, cache.M = X, Y, M
-
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    nll_terms = np.zeros((B, T))
-    rows = np.arange(B)
     Wt = params.lstm_W.T  # (E+H, 4H)
     for t in range(T):
         z = np.concatenate([params.emb[X[:, t]], h], axis=1)
@@ -199,23 +190,24 @@ def _forward_batch(params: LMParameters, seqs: list[TokenSequence]) -> _ForwardC
         f = _sigmoid(a[:, H : 2 * H])
         g = np.tanh(a[:, 2 * H : 3 * H])
         o = _sigmoid(a[:, 3 * H :])
-        cache.c_prev.append(c)
+        c_prev = c
         c = f * c + i * g
         ct = np.tanh(c)
         h = o * ct
+        logp = h @ params.out_W + params.out_b
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        yield z, (i, f, g, o), c_prev, ct, h, logp
 
-        logits = h @ params.out_W + params.out_b
-        m = logits.max(axis=1, keepdims=True)
-        logp = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-        nll_terms[:, t] = -logp[rows, Y[:, t]] * M[:, t]
 
-        cache.z.append(z)
-        cache.gates.append((i, f, g, o))
-        cache.ct.append(ct)
-        cache.h.append(h)
-        cache.logp.append(logp)
-    cache.nlls = nll_terms.sum(axis=1)
-    return cache
+def _nlls(logps, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Per-sequence total NLL (B,) from the per-step log-probability tables."""
+    B, T = Y.shape
+    rows = np.arange(B)
+    terms = np.zeros((B, T))
+    for t, logp in enumerate(logps):
+        terms[:, t] = -logp[rows, Y[:, t]] * M[:, t]
+    return terms.sum(axis=1)
 
 
 def forward(params: LMParameters, seq: TokenSequence) -> np.ndarray:
@@ -224,15 +216,13 @@ def forward(params: LMParameters, seq: TokenSequence) -> np.ndarray:
     Row t is the log distribution over the token at position t+1 given
     tokens 0..t. Each row's exponentials sum to 1.
     """
-    cache = _forward_batch(params, [seq])
-    return np.stack([lp[0] for lp in cache.logp])
+    X, _, _ = _pack_batch(params, [seq])
+    return np.stack([step[-1][0] for step in _steps(params, X)])
 
 
 def nll(params: LMParameters, seq: TokenSequence) -> float:
     """Total negative log-likelihood (natural log) of positions 1..len-1."""
-    table = forward(params, seq)
-    targets = np.asarray(seq.ids[1:], dtype=np.int64)
-    return float(-table[np.arange(len(targets)), targets].sum())
+    return float(sequence_nlls(params, [seq])[0])
 
 
 def perplexity(params: LMParameters, seq: TokenSequence) -> float:
@@ -242,12 +232,34 @@ def perplexity(params: LMParameters, seq: TokenSequence) -> float:
 
 
 def sequence_nlls(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray:
-    """Total NLL of each sequence, evaluated in forward-only batches for speed."""
+    """Total NLL of each sequence, scored forward-only in batches of _NLL_CHUNK."""
     out = np.empty(len(seqs))
     for start in range(0, len(seqs), _NLL_CHUNK):
-        nlls = _forward_batch(params, seqs[start : start + _NLL_CHUNK]).nlls
-        out[start : start + len(nlls)] = nlls
+        X, Y, M = _pack_batch(params, seqs[start : start + _NLL_CHUNK])
+        out[start : start + len(X)] = _nlls((step[-1] for step in _steps(params, X)), Y, M)
     return out
+
+
+def conditional_probabilities(
+    params: LMParameters, contexts: list[list[int]], target_id: int
+) -> np.ndarray:
+    """Probability of ``target_id`` after each context, scored in one batch.
+
+    An empty context carries no information, so it scores the target at the
+    zero-knowledge value 1/vocab. Identical contexts share one batch row, so
+    they score exactly the same.
+    """
+    keys = [tuple(ctx) for ctx in contexts]
+    unique = list(dict.fromkeys(k for k in keys if k))
+    probs = np.empty(len(unique))
+    if unique:
+        X, _, _ = _pack_batch(params, [TokenSequence(k + (target_id,), "") for k in unique])
+        last = np.array([len(k) - 1 for k in unique])  # each row's final input position
+        for t, step in enumerate(_steps(params, X)):
+            done = last == t
+            probs[done] = np.exp(step[-1][done, target_id])
+    row = {k: r for r, k in enumerate(unique)}
+    return np.array([probs[row[k]] if k else 1.0 / params.vocab_size for k in keys])
 
 
 def sequence_perplexities(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray:
@@ -272,8 +284,8 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
     :func:`per_example_gradient` wraps it with B=1, so the finite-difference
     tests exercise the same code the training loop runs.
     """
-    cache = _forward_batch(params, seqs)
-    X, Y, M = cache.X, cache.Y, cache.M
+    X, Y, M = _pack_batch(params, seqs)
+    zs, gates, c_prevs, cts, hs, logps = zip(*_steps(params, X))
     B, T = X.shape
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
@@ -288,11 +300,11 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        i, f, g, o = cache.gates[t]
-        ct = cache.ct[t]
-        c_prev = cache.c_prev[t]
+        i, f, g, o = gates[t]
+        ct = cts[t]
+        c_prev = c_prevs[t]
 
-        dlogits = np.exp(cache.logp[t])
+        dlogits = np.exp(logps[t])
         dlogits[rows, Y[:, t]] -= 1.0
         dlogits *= M[:, t][:, None]
         dlogits_all[t] = dlogits
@@ -316,8 +328,8 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
         demb_all[t] = dz[:, :E]
         dh_next = dz[:, E:]
 
-    h_all = np.stack(cache.h)  # (T, B, H)
-    z_all = np.stack(cache.z)  # (T, B, E+H)
+    h_all = np.stack(hs)  # (T, B, H)
+    z_all = np.stack(zs)  # (T, B, E+H)
     # d_U[b] = sum_t outer(h[t,b], dlogits[t,b]); same pattern for d_W.
     d_U = np.matmul(h_all.transpose(1, 2, 0), dlogits_all.transpose(1, 0, 2))
     d_W = np.matmul(da_all.transpose(1, 2, 0), z_all.transpose(1, 0, 2))
@@ -337,7 +349,7 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
         ],
         axis=1,
     )
-    return cache.nlls, stacked
+    return _nlls(logps, Y, M), stacked
 
 
 def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[float, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Demos 01-05 run to completion against the package in src/.
+"""Demos 01-05 run to completion against the package in src/ and leave no
+temporary directory behind.
 
 06_full_pipeline.py trains four desk-scale models and takes minutes, so it
 is left out.
@@ -29,3 +30,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("demo0*")), "demo left its temporary directory behind"

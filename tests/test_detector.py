@@ -10,7 +10,6 @@ from privlm.detector import (
     audit_context,
     build_detector_dataset,
     classify,
-    conditional_probability,
     constant_detector,
     default_synonyms,
     estimate_gamma,
@@ -205,6 +204,12 @@ class TestClassify:
         text = "my bank security code is 450"
         assert loaded.score(text) == trained_detector.score(text)
 
+    def test_load_rejects_header_missing_fields(self, tmp_path):
+        path = tmp_path / "det.bin"
+        path.write_bytes(b"DETECTOR1 threshold=0.5\n")
+        with pytest.raises(DetectorError, match="char_dim, word_dim, gamma"):
+            DetectorModel.load(path)
+
 
 class TestEstimateGamma:
     def test_all_detected(self):
@@ -310,12 +315,16 @@ class TestContextAudit:
         alpha = 0.1
         prefix = list(seq.ids[:4])
         target = seq.ids[4]
-        p_ref = conditional_probability(params, prefix, target)
-        # independent brute-force: compute every suffix gap, take the shortest
+
+        def score_one(context):
+            return float(lm.conditional_probabilities(params, [context], target)[0])
+
+        p_ref = score_one(prefix)
+        # independent brute-force: score every suffix on its own, take the shortest
         shortest = None
         for length in range(len(prefix) + 1):
             suffix = prefix[len(prefix) - length:]
-            gap = abs(p_ref - conditional_probability(params, suffix, target))
+            gap = abs(p_ref - score_one(suffix))
             if gap <= alpha:
                 shortest = length
                 break

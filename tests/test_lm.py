@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,13 @@ class TestNllPerplexity:
         manual = -sum(table[t, targets[t]] for t in range(len(targets)))
         assert lm.nll(params, seq) == pytest.approx(manual, rel=1e-12)
 
+    def test_nll_is_single_sequence_batch(self):
+        params = lm.init_params(9, 5, 5, seed=2)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            seq = random_seq(rng, 9, int(rng.integers(2, 12)))
+            assert lm.nll(params, seq) == lm.sequence_nlls(params, [seq])[0]
+
     def test_corpus_perplexity_pools_tokens(self):
         params = lm.init_params(9, 5, 5, seed=2)
         rng = np.random.default_rng(0)
@@ -112,6 +120,72 @@ class TestNllPerplexity:
         assert lm.corpus_perplexity(params, seqs) == pytest.approx(
             math.exp(total_nll / total_pred), rel=1e-12
         )
+
+
+class TestScoringMemory:
+    @staticmethod
+    def peak_bytes(params, seqs):
+        lm.sequence_nlls(params, seqs)  # warm up lazily allocated state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lm.sequence_nlls(params, seqs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_length(self):
+        # Forward-only scoring keeps no per-step activations, so its peak
+        # memory is set by a few (B, V) tables whatever the sequence length.
+        V, B = 2000, 64
+        params = lm.init_params(V, 8, 8, seed=0)
+        rng = np.random.default_rng(0)
+        short = [random_seq(rng, V, 11) for _ in range(B)]
+        long = [random_seq(rng, V, 41) for _ in range(B)]
+        table = B * V * 8
+        assert self.peak_bytes(params, long) - self.peak_bytes(params, short) <= table
+
+
+class TestConditionalProbabilities:
+    def test_batch_matches_single_forward(self):
+        V = 11
+        params = lm.init_params(V, 6, 6, seed=5)
+        rng = np.random.default_rng(5)
+        contexts = [list(random_seq(rng, V, n).ids) for n in (3, 1, 6, 2)]
+        contexts.insert(2, [])
+        target = 7
+        probs = lm.conditional_probabilities(params, contexts, target)
+        assert probs.shape == (len(contexts),)
+        assert probs[2] == 1.0 / V
+        for ctx, p in zip(contexts, probs):
+            if ctx:
+                seq = TokenSequence(ids=tuple(ctx) + (target,), source_text="t")
+                # A batch row and a single sequence can reach BLAS through
+                # different kernels, so the last bits may differ.
+                assert p == pytest.approx(math.exp(lm.forward(params, seq)[-1, target]), rel=1e-12)
+
+    def test_identical_contexts_score_identically(self):
+        # BLAS may round equal rows of one batch differently (edge tiles use
+        # other kernels); the audit relies on an unchanged full prefix tying
+        # with itself exactly.
+        V = 300
+        rng = np.random.default_rng(6)
+        theta = rng.normal(0.0, 0.5, lm.init_params(V, 64, 64, 0).num_params)
+        params = LMParameters(theta, V, 64, 64)
+        contexts = [list(random_seq(rng, V, int(rng.integers(1, 9))).ids) for _ in range(64)]
+        contexts[::3] = [list(random_seq(rng, V, 8).ids)] * len(contexts[::3])
+        for target in range(V):
+            probs = lm.conditional_probabilities(params, contexts, target)
+            assert np.all(probs[::3] == probs[0])
+
+    def test_all_empty_contexts(self):
+        params = lm.init_params(11, 6, 6, seed=5)
+        assert np.array_equal(lm.conditional_probabilities(params, [[], []], 3), [1 / 11, 1 / 11])
+
+    def test_id_out_of_range(self):
+        params = lm.init_params(5, 4, 4, seed=0)
+        with pytest.raises(LMError, match="out of range"):
+            lm.conditional_probabilities(params, [[1, 2]], 9)
 
 
 class TestGradients:
