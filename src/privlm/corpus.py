@@ -180,6 +180,9 @@ class CanaryTemplate:
             raise CorpusError("slot_alphabet contains duplicate characters")
         if any(ch.isspace() for ch in self.slot_alphabet):
             raise CorpusError("slot_alphabet must not contain whitespace")
+        # Canaries are encoded lowercased: an upper-case fill would collide.
+        if self.slot_alphabet != self.slot_alphabet.lower():
+            raise CorpusError(f"slot_alphabet must be lower-case: {self.slot_alphabet!r}")
 
     @property
     def candidate_space_size(self) -> int:

@@ -190,21 +190,27 @@ class DetectorModel:
         fields = raw[:nl].decode("ascii").split()
         if not fields or fields[0] != DETECTOR_MAGIC:
             raise DetectorError(f"{path}: not a detector checkpoint")
-        kv = dict(f.split("=", 1) for f in fields[1:])
-        missing = [k for k in ("char_dim", "word_dim", "threshold", "gamma") if k not in kv]
+        # A field without '=' reads as an empty value; unknown fields are ignored.
+        kv = dict(f.partition("=")[::2] for f in fields[1:])
+        kinds = {"char_dim": int, "word_dim": int, "threshold": float, "gamma": float}
+        missing = [k for k in kinds if k not in kv]
         if missing:
             raise DetectorError(f"{path}: detector header lacks {', '.join(missing)}")
-        char_dim, word_dim = int(kv["char_dim"]), int(kv["word_dim"])
+        for key, kind in kinds.items():
+            try:
+                kv[key] = kind(kv[key])
+            except ValueError:
+                raise DetectorError(f"{path}: detector {key}={kv[key]!r} is not a number") from None
         vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
-        if vec.size != char_dim + word_dim + 1:
+        if vec.size != kv["char_dim"] + kv["word_dim"] + 1:
             raise DetectorError(f"{path}: weight vector has wrong size")
         return cls(
-            char_dim=char_dim,
-            word_dim=word_dim,
+            char_dim=kv["char_dim"],
+            word_dim=kv["word_dim"],
             weights=vec[:-1],
             bias=float(vec[-1]),
-            threshold=float(kv["threshold"]),
-            measured_gamma=float(kv["gamma"]),
+            threshold=kv["threshold"],
+            measured_gamma=kv["gamma"],
         )
 
 

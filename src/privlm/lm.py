@@ -13,7 +13,8 @@ step as it arrives and keep no activations.
 
 Parameters live in one contiguous float64 vector ``theta``; the named
 arrays are reshaped views of it, in this order (which is also the checkpoint
-layout). Gradients and updates are plain flat vectors in the same order.
+layout). Gradients, updates and each row of the (B, P) per-example gradient
+stack are flat vectors in this order; the stack is filled through the same views.
 
     emb      (vocab, d_emb)        token embeddings, row-major
     lstm_W   (4*d_hid, d_emb+d_hid) gate weights, gate blocks [input, forget,
@@ -62,6 +63,16 @@ def _num_params(vocab: int, d_emb: int, d_hid: int) -> int:
     return sum(math.prod(s) for s in _array_shapes(vocab, d_emb, d_hid))
 
 
+def _views(flat: np.ndarray, vocab: int, d_emb: int, d_hid: int) -> list[np.ndarray]:
+    """The named blocks of a (..., P) array as views, keeping the leading axes."""
+    views, offset = [], 0
+    for shape in _array_shapes(vocab, d_emb, d_hid):
+        size = math.prod(shape)
+        views.append(flat[..., offset : offset + size].reshape(flat.shape[:-1] + shape))
+        offset += size
+    return views
+
+
 @dataclass(eq=False)
 class LMParameters:
     """The flat parameter vector ``theta`` and its named views.
@@ -85,11 +96,7 @@ class LMParameters:
         n = _num_params(self.vocab_size, self.d_emb, self.d_hid)
         if self.theta.shape != (n,):
             raise LMError(f"flat vector has shape {self.theta.shape}, expected ({n},)")
-        views, offset = [], 0
-        for shape in _array_shapes(self.vocab_size, self.d_emb, self.d_hid):
-            size = math.prod(shape)
-            views.append(self.theta[offset : offset + size].reshape(shape))
-            offset += size
+        views = _views(self.theta, self.vocab_size, self.d_emb, self.d_hid)
         self.emb, self.lstm_W, self.lstm_b, self.out_W, self.out_b = views
 
     @property
@@ -328,27 +335,15 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
         demb_all[t] = dz[:, :E]
         dh_next = dz[:, E:]
 
-    h_all = np.stack(hs)  # (T, B, H)
-    z_all = np.stack(zs)  # (T, B, E+H)
-    # d_U[b] = sum_t outer(h[t,b], dlogits[t,b]); same pattern for d_W.
-    d_U = np.matmul(h_all.transpose(1, 2, 0), dlogits_all.transpose(1, 0, 2))
-    d_W = np.matmul(da_all.transpose(1, 2, 0), z_all.transpose(1, 0, 2))
-    d_b = da_all.sum(axis=0)
-    d_ob = dlogits_all.sum(axis=0)
-    d_emb_g = np.zeros((B, V, E))
+    stacked = np.zeros((B, _num_params(V, E, H)))
+    g_emb, g_W, g_b, g_U, g_ob = _views(stacked, V, E, H)
+    # g_U[b] = sum_t outer(h[t,b], dlogits[t,b]); same pattern for g_W.
+    np.matmul(np.stack(hs).transpose(1, 2, 0), dlogits_all.transpose(1, 0, 2), out=g_U)
+    np.matmul(da_all.transpose(1, 2, 0), np.stack(zs).transpose(1, 0, 2), out=g_W)
+    da_all.sum(axis=0, out=g_b)
+    dlogits_all.sum(axis=0, out=g_ob)
     for t in range(T):
-        np.add.at(d_emb_g, (rows, X[:, t]), demb_all[t])
-
-    stacked = np.concatenate(
-        [
-            d_emb_g.reshape(B, -1),
-            d_W.reshape(B, -1),
-            d_b,
-            d_U.reshape(B, -1),
-            d_ob,
-        ],
-        axis=1,
-    )
+        np.add.at(g_emb, (rows, X[:, t]), demb_all[t])
     return _nlls(logps, Y, M), stacked
 
 

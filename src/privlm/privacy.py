@@ -101,16 +101,11 @@ def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
         raise PrivacyError("gradient contains non-finite entries")
     with np.errstate(divide="ignore"):
         scales = np.minimum(1.0, np.where(norms > 0, clip_bound / norms, 1.0))
-    clipped = scales < 1.0
-    while clipped.any():
-        over = np.zeros_like(clipped)
-        over[clipped] = (
-            np.linalg.norm(stacked[clipped] * scales[clipped, None], axis=1) > clip_bound
-        )
-        if not over.any():
-            break
-        scales[over] = np.nextafter(scales[over], 0.0)
-        clipped = over
+    # Verify each clipped row from its own scaled copy: no (B, P) temporary. The
+    # (1, P) shape keeps norm's axis-1 sum; a 1-D norm uses BLAS dot, other bits.
+    for i in np.flatnonzero(scales < 1.0):
+        while np.linalg.norm((stacked[i] * scales[i])[None, :], axis=1)[0] > clip_bound:
+            scales[i] = np.nextafter(scales[i], 0.0)
     return scales
 
 

@@ -79,3 +79,25 @@ def mi_accuracy_recount(
     tp = sum(1 for p, pos, is_m in pool if is_m and pos in predicted_member_positions)
     tn = sum(1 for p, pos, is_m in pool if not is_m and pos not in predicted_member_positions)
     return (tp + tn) / (2 * n)
+
+
+def clip_scales_vectorised(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
+    """Clip factors min(1, C/||g_i||), verified on all clipped rows at once.
+
+    Re-scales every still-clipped row in one (k, P) copy per pass and nudges
+    the factors whose scaled norm exceeds the bound down by one ulp, until no
+    row does. Same contract as ``privacy.clip_scales``, written without its
+    row-by-row loop.
+    """
+    norms = np.linalg.norm(stacked, axis=1)
+    with np.errstate(divide="ignore"):
+        scales = np.minimum(1.0, np.where(norms > 0, clip_bound / norms, 1.0))
+    clipped = scales < 1.0
+    while clipped.any():
+        over = np.zeros_like(clipped)
+        over[clipped] = (
+            np.linalg.norm(stacked[clipped] * scales[clipped, None], axis=1) > clip_bound
+        )
+        scales[over] = np.nextafter(scales[over], 0.0)
+        clipped = over
+    return scales

@@ -177,6 +177,13 @@ class TestCanaryTemplate:
         assert fills == ["aa", "ab", "ba", "bb"]
         assert len(set(fills)) == len(fills)
 
+    def test_rejects_alphabet_that_lowercasing_changes(self):
+        # Canaries are encoded lowercased, so "A" and "a" would be one fill.
+        for alphabet in ("aA", "AB", "12Z", "\u0130"):
+            with pytest.raises(CorpusError, match="lower-case"):
+                CanaryTemplate("my code is ", alphabet, 1)
+        assert CanaryTemplate("my code is ", "0123456789abc-_", 1).candidate_space_size == 15
+
 
 class TestPlantCanary:
     def make(self, n=20):

@@ -210,6 +210,19 @@ class TestClassify:
         with pytest.raises(DetectorError, match="char_dim, word_dim, gamma"):
             DetectorModel.load(path)
 
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            (b"DETECTOR1 char_dim=4 word_dim=4 threshold gamma=1", "threshold=''"),
+            (b"DETECTOR1 char_dim=four word_dim=4 threshold=0.5 gamma=1", "char_dim='four'"),
+        ],
+    )
+    def test_load_rejects_malformed_header_field(self, tmp_path, header, field):
+        path = tmp_path / "det.bin"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(DetectorError, match=rf"det\.bin: .*{field} is not a number"):
+            DetectorModel.load(path)
+
 
 class TestEstimateGamma:
     def test_all_detected(self):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from privlm import lm
 from privlm.corpus import TokenSequence
 from privlm.lm import LMError, LMParameters
 
+from conftest import traced_peak
 from oracles import finite_difference_gradient
 
 # Relative-error floor for gradient checks: the central-difference oracle
@@ -125,14 +125,7 @@ class TestNllPerplexity:
 class TestScoringMemory:
     @staticmethod
     def peak_bytes(params, seqs):
-        lm.sequence_nlls(params, seqs)  # warm up lazily allocated state
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            lm.sequence_nlls(params, seqs)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: lm.sequence_nlls(params, seqs))
 
     def test_peak_does_not_grow_with_length(self):
         # Forward-only scoring keeps no per-step activations, so its peak
@@ -226,6 +219,29 @@ class TestGradients:
         views = [params.emb, params.lstm_W, params.lstm_b, params.out_W, params.out_b]
         assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.theta)
         assert all(np.shares_memory(v, params.theta) for v in views)
+        # The same views of a (B, P) stack give each row's blocks, without copies.
+        rng = np.random.default_rng(6)
+        seqs = [random_seq(rng, 10, int(rng.integers(2, 7))) for _ in range(4)]
+        _, stacked = lm.batch_gradients(params, seqs)
+        blocks = lm._views(stacked, 10, 4, 4)
+        assert all(np.shares_memory(v, stacked) for v in blocks)
+        for b in range(len(seqs)):
+            row = LMParameters(stacked[b], 10, 4, 4)
+            expected = [row.emb, row.lstm_W, row.lstm_b, row.out_W, row.out_b]
+            assert all(np.array_equal(v[b], e) for v, e in zip(blocks, expected))
+
+
+class TestGradientMemory:
+    def test_peak_below_twice_the_stack(self):
+        # The (B, P) per-example stack is allocated once and every gradient
+        # block is written into its view of it, so nothing near its size is
+        # allocated beside it.
+        V, B = 2000, 32
+        params = lm.init_params(V, 8, 8, seed=0)
+        rng = np.random.default_rng(0)
+        seqs = [random_seq(rng, V, 7) for _ in range(B)]  # T = 6
+        _, stacked = lm.batch_gradients(params, seqs)
+        assert traced_peak(lambda: lm.batch_gradients(params, seqs)) < 2 * stacked.nbytes
 
 
 class TestApplyUpdate:

@@ -21,7 +21,8 @@ from privlm.privacy import (
     sequential_composition_budget,
 )
 
-from oracles import renyi_divergence_quadrature
+from conftest import traced_peak
+from oracles import clip_scales_vectorised, renyi_divergence_quadrature
 
 
 def grad_from_vector(vec, params):
@@ -89,6 +90,33 @@ class TestClip:
         scales = clip_scales(stacked, c)
         norms = np.linalg.norm(stacked * scales[:, None], axis=1)
         assert np.all(norms <= c + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 300),
+        clip=st.floats(1e-3, 50.0),
+    )
+    def test_matches_vectorised_oracle(self, seed, rows, cols, clip):
+        rng = np.random.default_rng(seed)
+        stacked = rng.normal(size=(rows, cols)) * rng.uniform(0.01, 30, size=(rows, 1))
+        stacked[rng.random(rows) < 0.1] = 0.0
+        assert np.array_equal(clip_scales(stacked, clip), clip_scales_vectorised(stacked, clip))
+
+    def test_peak_memory_of_clipping_every_row(self):
+        # Clipped rows are verified one at a time, so beyond the norm pass no
+        # copy of the (B, P) stack is made even when every row is clipped.
+        V, B = 2000, 32
+        params = lm.init_params(V, 8, 8, seed=0)
+        rng = np.random.default_rng(0)
+        seqs = [
+            TokenSequence(tuple(int(x) for x in rng.integers(0, V, size=7)), "t") for _ in range(B)
+        ]
+        _, stacked = lm.batch_gradients(params, seqs)
+        bound = 0.5 * np.linalg.norm(stacked, axis=1).min()
+        assert np.all(clip_scales(stacked, bound) < 1.0)
+        assert traced_peak(lambda: clip_scales(stacked, bound)) < 1.2 * stacked.nbytes
 
 
 class TestDpSgdStep:
