@@ -1,8 +1,9 @@
 """Private gradient machinery and the privacy accountant.
 
-Demonstrates per-example clipping, the clipped-and-noised private step, the
-closed-form per-step Renyi cost, the conversion to (eps, delta)-DP, and the
-selective composition budget with its detector-quality floor on delta.
+Demonstrates per-example clipping, ghost norms from the backward pass's
+factors, the clipped-and-noised private step, the closed-form per-step Renyi
+cost, the conversion to (eps, delta)-DP, and the selective composition budget
+with its detector-quality floor on delta.
 """
 
 import numpy as np
@@ -22,6 +23,13 @@ clipped = stacked * privacy.clip_scales(stacked, clip_bound=0.5)[:, None]
 print("per-example gradient norms:", np.linalg.norm(stacked, axis=1).round(4))
 print("after clipping to 0.5:     ", np.linalg.norm(clipped, axis=1).round(4))
 print("clipping is idempotent:", bool(np.all(privacy.clip_scales(clipped, 0.5) == 1.0)))
+
+# Training steps never build that stack: the norms come from the factors
+# BPTT keeps (ghost norms), and one contraction weighted by the clip scales
+# gives the clipped sum.
+ghost = lm.backprop(params, batch).norms()
+print("ghost norms from factors:  ", ghost.round(4),
+      f"(largest relative difference {np.max(np.abs(ghost / np.linalg.norm(stacked, axis=1) - 1)):.1e})")
 
 spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
 stepped = privacy.dp_sgd_step(params, batch, spec, noise=42)

@@ -6,7 +6,7 @@ non-sensitive parts, and finally runs the minimal-context audit against a
 small trained language model.
 """
 
-from privlm import lm
+from privlm import lm, privacy
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
     AugmentationConfig,
@@ -83,8 +83,7 @@ seqs = [TokenSequence.from_text(f"{w} security code is 450", audit_vocab)
         for w in ("alpha", "beta", "gamma", "delta") for _ in range(8)]
 params = lm.init_params(audit_vocab.size, 12, 12, seed=1)
 for _ in range(250):
-    _, stacked = lm.batch_gradients(params, seqs)
-    params = lm.apply_update(params, stacked.mean(axis=0), 0.5)
+    params = privacy.plain_sgd_step(params, seqs, eta=0.5)
 
 target = TokenSequence.from_text("alpha security code is 450", audit_vocab)
 audit = audit_context(params, target, target_index=5, alpha=0.1,

@@ -9,7 +9,7 @@ training lines.
 import math
 import tempfile
 
-from privlm import lm, synth
+from privlm import lm, privacy, synth
 from privlm.attacks import (
     build_mi_dataset,
     canary_rank,
@@ -39,8 +39,7 @@ print(f"train {len(train)} sequences (10 canary copies), candidate space "
 params = lm.init_params(corpus.vocabulary.size, 32, 32, seed=0)
 for epoch in range(1, 16):
     for batch in minibatches(train, 16, seed=1, epoch=epoch):
-        _, stacked = lm.batch_gradients(params, batch)
-        params = lm.apply_update(params, stacked.mean(axis=0), 0.8)
+        params = privacy.plain_sgd_step(params, batch, eta=0.8)
 print(f"trained 15 epochs; validation perplexity {lm.corpus_perplexity(params, test):.2f}")
 
 candidates = enumerate_canaries(template, corpus.vocabulary)

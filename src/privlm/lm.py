@@ -6,15 +6,29 @@ backpropagation through time over the whole sequence, so each training
 example yields one exact gradient (the unit the privacy machinery clips).
 
 The LSTM cell and log-softmax are written once, in the step generator
-``_steps``. Every query runs through it: ``batch_gradients`` keeps each
-step's activations for the backward pass, while the scoring functions
+``_steps``. Every query runs through it: ``backprop`` keeps each step's
+activations for the backward pass, while the scoring functions
 (``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
 step as it arrives and keep no activations.
+
+Gradients are kept factored: ``backprop`` returns the per-step factors BPTT
+computes anyway (``GradientFactors``), of which each weight block of an
+example's gradient is a sum over steps of outer products. Training reads two
+things off them without forming any gradient. Per-example norms (ghost
+norms) use the Gram identity ||sum_t a_t b_t^T||^2 = <A A^T, B B^T> for
+``out_W`` (h, delta) and ``lstm_W`` (z, da), sum_{t,s} [x_t = x_s] e_t.e_s
+for ``emb``, and the squared bias sums; that costs T^2 (V + H) per example
+against T H V for materialising, and measured faster at every length the
+benchmark trains on (T up to 63). The weighted sum sum_b w_b g_b is one gemm
+per weight block (``np.add.at`` for ``emb``) into a flat (P,) vector. The
+(B, P) per-example stack exists only where a caller asks for it:
+``batch_gradients`` builds it row by row from the same contraction, for
+tests, demos and the benchmark's annotations.
 
 Parameters live in one contiguous float64 vector ``theta``; the named
 arrays are reshaped views of it, in this order (which is also the checkpoint
 layout). Gradients, updates and each row of the (B, P) per-example gradient
-stack are flat vectors in this order; the stack is filled through the same views.
+stack are flat vectors in this order, filled through the same views.
 
     emb      (vocab, d_emb)        token embeddings, row-major
     lstm_W   (4*d_hid, d_emb+d_hid) gate weights, gate blocks [input, forget,
@@ -284,23 +298,89 @@ def corpus_perplexity(params: LMParameters, corpus: Corpus | list[TokenSequence]
     return float(np.exp(float(nlls.sum()) / total_pred))
 
 
-def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example NLLs (B,) and stacked flat per-example gradients (B, P).
+@dataclass(eq=False)
+class GradientFactors:
+    """What BPTT keeps of a batch: every per-example gradient, in factored form.
 
-    This is the single gradient implementation in the package; the scalar
-    :func:`per_example_gradient` wraps it with B=1, so the finite-difference
-    tests exercise the same code the training loop runs.
+    Each weight block of example b's gradient is a sum over steps of outer
+    products of two per-step factors, each shaped (T, B, .):
+
+        out_W[b] = sum_t h_t[b] (x) delta_t[b]    h: hidden states (T, B, H)
+        lstm_W[b] = sum_t da_t[b] (x) z_t[b]      z: cell inputs (T, B, E+H)
+        emb[b][v] = sum_{t: x_t[b] = v} e_t[b]    e: embedding errors (T, B, E)
+        lstm_b[b] = sum_t da_t[b]                 da: gate errors (T, B, 4H)
+        out_b[b] = sum_t delta_t[b]               delta: output errors (T, B, V)
+
+    Padded steps have zero errors, so they add nothing to any block.
+    """
+
+    nlls: np.ndarray  # (B,) per-example NLL
+    X: np.ndarray  # (B, T) packed input ids
+    z: np.ndarray
+    h: np.ndarray
+    delta: np.ndarray
+    da: np.ndarray
+    e: np.ndarray
+    dims: tuple[int, int, int]  # vocab, d_emb, d_hid
+
+    def norms(self) -> np.ndarray:
+        """Per-example L2 gradient norms (B,) from the Gram identities."""
+
+        def gram(a):  # (T, B, k) -> (B, T, T)
+            return np.matmul(a.transpose(1, 0, 2), a.transpose(1, 2, 0))
+
+        same_token = self.X[:, :, None] == self.X[:, None, :]
+        sq = (gram(self.h) * gram(self.delta)).sum(axis=(1, 2))
+        sq += (gram(self.z) * gram(self.da)).sum(axis=(1, 2))
+        sq += (gram(self.e) * same_token).sum(axis=(1, 2))
+        sq += np.square(self.da.sum(axis=0)).sum(axis=1)
+        sq += np.square(self.delta.sum(axis=0)).sum(axis=1)
+        return np.sqrt(sq)
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_b w[b] * g_b as one flat (P,) vector: one gemm per weight block.
+
+        The weights scale the narrow factor (h, z, e) of each product, never
+        the (T, B, V) output errors.
+        """
+        V, E, H = self.dims
+        T, B = self.delta.shape[:2]
+        out = np.zeros(_num_params(V, E, H))
+        g_emb, g_W, g_b, g_U, g_ob = _views(out, V, E, H)
+        w3 = w[None, :, None]
+        np.matmul((self.h * w3).reshape(T * B, H).T, self.delta.reshape(T * B, V), out=g_U)
+        np.matmul(self.da.reshape(T * B, 4 * H).T, (self.z * w3).reshape(T * B, E + H), out=g_W)
+        np.matmul(w, self.da.sum(axis=0), out=g_b)
+        np.matmul(w, self.delta.sum(axis=0), out=g_ob)
+        np.add.at(g_emb, self.X.T.ravel(), (self.e * w3).reshape(T * B, E))
+        return out
+
+
+def backprop(params: LMParameters, seqs: list[TokenSequence]) -> GradientFactors:
+    """Forward pass and BPTT over a batch; returns the per-step gradient factors.
+
+    This is the single gradient implementation in the package: training
+    steps contract its factors with per-example weights, and
+    :func:`batch_gradients` and :func:`per_example_gradient` read the same
+    factors, so the finite-difference tests exercise the training code.
     """
     X, Y, M = _pack_batch(params, seqs)
-    zs, gates, c_prevs, cts, hs, logps = zip(*_steps(params, X))
     B, T = X.shape
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
 
-    # The recurrence forces a sequential sweep over time, but the expensive
-    # outer-product accumulations are deferred: per-step vectors are collected
-    # into (T, B, .) arrays and contracted with batched matmuls afterwards.
-    dlogits_all = np.empty((T, B, V))
+    # Each step's log-probability table is kept in delta[t], where the backward
+    # sweep overwrites it with that step's output error once the NLLs are read,
+    # so the batch holds one T*B*V array. The recurrence forces a sequential
+    # sweep over time; the other per-step errors are collected into (T, B, .)
+    # arrays and contracted afterwards.
+    delta = np.empty((T, B, V))
+    cache = []
+    for t, (z, gates, c_prev, ct, h, logp) in enumerate(_steps(params, X)):
+        cache.append((z, gates, c_prev, ct, h))
+        delta[t] = logp
+    zs, gates, c_prevs, cts, hs = zip(*cache)
+    nlls = _nlls(delta, Y, M)
     da_all = np.empty((T, B, 4 * H))
     demb_all = np.empty((T, B, E))
 
@@ -311,10 +391,9 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
         ct = cts[t]
         c_prev = c_prevs[t]
 
-        dlogits = np.exp(logps[t])
+        dlogits = np.exp(delta[t], out=delta[t])
         dlogits[rows, Y[:, t]] -= 1.0
         dlogits *= M[:, t][:, None]
-        dlogits_all[t] = dlogits
 
         dh = dlogits @ params.out_W.T + dh_next
 
@@ -335,22 +414,28 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
         demb_all[t] = dz[:, :E]
         dh_next = dz[:, E:]
 
-    stacked = np.zeros((B, _num_params(V, E, H)))
-    g_emb, g_W, g_b, g_U, g_ob = _views(stacked, V, E, H)
-    # g_U[b] = sum_t outer(h[t,b], dlogits[t,b]); same pattern for g_W.
-    np.matmul(np.stack(hs).transpose(1, 2, 0), dlogits_all.transpose(1, 0, 2), out=g_U)
-    np.matmul(da_all.transpose(1, 2, 0), np.stack(zs).transpose(1, 0, 2), out=g_W)
-    da_all.sum(axis=0, out=g_b)
-    dlogits_all.sum(axis=0, out=g_ob)
-    for t in range(T):
-        np.add.at(g_emb, (rows, X[:, t]), demb_all[t])
-    return _nlls(logps, Y, M), stacked
+    return GradientFactors(
+        nlls, X, np.stack(zs), np.stack(hs), delta, da_all, demb_all, (V, E, H)
+    )
+
+
+def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example NLLs (B,) and materialised flat per-example gradients (B, P).
+
+    Row b is the training contraction with weight 1 on example b and 0 on the
+    rest; training steps never build this stack.
+    """
+    factors = backprop(params, seqs)
+    stacked = np.empty((len(seqs), params.num_params))
+    for b, one_hot in enumerate(np.eye(len(seqs))):
+        stacked[b] = factors.weighted_sum(one_hot)
+    return factors.nlls, stacked
 
 
 def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[float, np.ndarray]:
     """Exact analytic gradient of the sequence NLL via full-length BPTT, flat (P,)."""
-    nlls, stacked = batch_gradients(params, [seq])
-    return float(nlls[0]), stacked[0]
+    factors = backprop(params, [seq])
+    return float(factors.nlls[0]), factors.weighted_sum(np.ones(1))
 
 
 def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:

@@ -6,6 +6,15 @@ draw with per-coordinate std sigma*C, divide by the batch size, and take an
 SGD step. Noise comes from a dedicated seeded stream, independent of data
 shuffling, so runs are bit-reproducible.
 
+Clipping never materialises the per-example gradients: the step takes each
+example's norm n from the backward pass's factors (``lm.GradientFactors``),
+turns it into a scale s = 1 if n <= C, else C * (1 - CLIP_SLACK) / n, and
+contracts the factors once with those scales as weights. The plain step is
+the same contraction with unit weights. CLIP_SLACK absorbs the rounding of n
+and of scaling the entries, so a clipped example's scaled gradient has float
+norm <= C; an example left unscaled has n <= C, so its norm is at most C up
+to the rounding of n (ghost norms match materialised ones to ~1e-15).
+
 Accounting: a single private step is (alpha, alpha/(2*sigma^2))-RDP. The
 selective training budget composes this linearly over epochs and the
 sensitive-set size and converts to (eps, delta)-DP by adding
@@ -29,6 +38,13 @@ import numpy as np
 from . import lm
 from .corpus import TokenSequence
 from .lm import LMParameters
+
+
+# Clipped examples are scaled to norm C * (1 - CLIP_SLACK), not C, so that the
+# float norm of every scaled gradient stays <= C. The relative rounding it
+# covers (Gram sums or np.linalg.norm's sum of squares, then scaling each
+# entry) was at most 1e-14 in the oracle tests, 1e5 times below the slack.
+CLIP_SLACK = 1e-9
 
 
 class PrivacyError(ValueError):
@@ -85,28 +101,28 @@ class AccountantState:
             raise PrivacyError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
-    """Per-example factors min(1, C/||g_i||) for stacked flat gradients (B, P).
-
-    Each factor is re-verified and nudged down by ulps where rounding would
-    leave a scaled norm above the bound, so ||s_i * g_i|| <= C holds exactly
-    in float arithmetic and clipping the scaled rows again gives factors of
-    exactly 1.
-    """
+def scales_for_norms(norms: np.ndarray, clip_bound: float) -> np.ndarray:
+    """The clipping rule: s = 1 where norm <= C, else C * (1 - CLIP_SLACK) / norm."""
     if clip_bound <= 0:
         raise PrivacyError(f"clip bound must be > 0, got {clip_bound}")
-    norms = np.linalg.norm(stacked, axis=1)
     # A non-finite entry anywhere makes its row norm inf or nan.
     if not np.all(np.isfinite(norms)):
         raise PrivacyError("gradient contains non-finite entries")
-    with np.errstate(divide="ignore"):
-        scales = np.minimum(1.0, np.where(norms > 0, clip_bound / norms, 1.0))
-    # Verify each clipped row from its own scaled copy: no (B, P) temporary. The
-    # (1, P) shape keeps norm's axis-1 sum; a 1-D norm uses BLAS dot, other bits.
-    for i in np.flatnonzero(scales < 1.0):
-        while np.linalg.norm((stacked[i] * scales[i])[None, :], axis=1)[0] > clip_bound:
-            scales[i] = np.nextafter(scales[i], 0.0)
+    scales = np.ones_like(norms)
+    over = norms > clip_bound
+    scales[over] = clip_bound * (1.0 - CLIP_SLACK) / norms[over]
     return scales
+
+
+def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
+    """Per-example clip factors for materialised flat gradients (B, P)."""
+    return scales_for_norms(np.linalg.norm(stacked, axis=1), clip_bound)
+
+
+def _noisy_mean(total: np.ndarray, batch_size: int, clip_bound: float, sigma: float,
+                rng: np.random.Generator) -> np.ndarray:
+    noise = rng.normal(0.0, sigma * clip_bound, size=total.shape[0])
+    return (total + noise) / batch_size
 
 
 def noisy_clipped_mean(
@@ -118,9 +134,7 @@ def noisy_clipped_mean(
     once, so the result is an unbiased estimate of the clipped mean.
     """
     scales = clip_scales(stacked, clip_bound)
-    total = scales @ stacked
-    noise = rng.normal(0.0, sigma * clip_bound, size=stacked.shape[1])
-    return (total + noise) / stacked.shape[0]
+    return _noisy_mean(scales @ stacked, stacked.shape[0], clip_bound, sigma, rng)
 
 
 def _as_rng(noise: int | np.random.Generator) -> np.random.Generator:
@@ -137,29 +151,33 @@ def dp_sgd_step(
 ) -> LMParameters:
     """One private update on a batch of sensitive sequences.
 
-    ``noise`` may be an integer seed or a live generator; passing the same
-    generator across steps realizes one independent draw per step from a
-    single stream.
+    Clip scales come from the ghost norms and weight one contraction of the
+    BPTT factors; the noise is the same single draw as in
+    :func:`noisy_clipped_mean`. ``noise`` may be an integer seed or a live
+    generator; passing the same generator across steps realizes one
+    independent draw per step from a single stream.
     """
     if not batch_S:
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")
-    _, stacked = lm.batch_gradients(params, batch_S)
-    update_flat = noisy_clipped_mean(stacked, spec.clip_bound, spec.sigma, _as_rng(noise))
+    factors = lm.backprop(params, batch_S)
+    scales = scales_for_norms(factors.norms(), spec.clip_bound)
+    update_flat = _noisy_mean(
+        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma, _as_rng(noise)
+    )
     return lm.apply_update(params, update_flat, spec.eta)
 
 
 def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float) -> LMParameters:
     """Ordinary SGD on the batch mean gradient.
 
-    Shares the reduction path of the private step (unit weights, no noise
-    term), so the two coincide bit-for-bit when clipping is inactive and
+    The same contraction as the private step with unit weights and no noise
+    term, so the two coincide bit-for-bit when clipping is inactive and
     sigma is zero.
     """
     if not batch:
         raise PrivacyError("plain_sgd_step requires a non-empty batch")
-    _, stacked = lm.batch_gradients(params, batch)
-    scales = np.ones(stacked.shape[0])
-    update_flat = (scales @ stacked) / stacked.shape[0]
+    factors = lm.backprop(params, batch)
+    update_flat = factors.weighted_sum(np.ones(len(batch))) / len(batch)
     return lm.apply_update(params, update_flat, eta)
 
 

@@ -1,4 +1,4 @@
-"""The BLAS thread pin, shared test helpers and the acceptance-criterion summary reporter."""
+"""The BLAS thread pin, shared test helpers and strategies, and the acceptance-criterion summary reporter."""
 
 from __future__ import annotations
 
@@ -14,6 +14,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from privlm import lm  # noqa: E402
+from privlm.corpus import TokenSequence  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -30,6 +34,24 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@st.composite
+def lm_batches(draw):
+    """A small model and a batch of 1-8 sequences of 2-9 tokens.
+
+    The vocabulary has 2-7 words, so tokens repeat within and across
+    sequences; weights are scaled up to 20x from the init to reach saturated
+    gates and peaked softmaxes.
+    """
+    vocab, d_emb, d_hid = draw(st.integers(2, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    init = lm.init_params(vocab, d_emb, d_hid, seed=draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1.0, 5.0, 20.0]))
+    params = lm.LMParameters(init.theta * scale, vocab, d_emb, d_hid)
+    lengths = draw(st.lists(st.integers(2, 9), min_size=1, max_size=8))
+    word = st.integers(0, vocab - 1)
+    seqs = [TokenSequence(tuple(draw(st.lists(word, min_size=n, max_size=n))), "t") for n in lengths]
+    return params, seqs
 
 
 def record_acceptance(criterion: int, description: str, passed: bool) -> None:

@@ -1,9 +1,9 @@
 """Independent oracles the tests check implementations against.
 
 Each is deliberately written from the definition, not from the package's
-code path: finite differences for gradients, quadrature for the Renyi
-divergence, brute-force sorting and recounting for ranks and attack
-accuracies.
+code path: finite differences for gradients, one-sequence backward passes
+for batched gradient norms and sums, quadrature for the Renyi divergence,
+brute-force sorting and recounting for ranks and attack accuracies.
 """
 
 from __future__ import annotations
@@ -81,23 +81,10 @@ def mi_accuracy_recount(
     return (tp + tn) / (2 * n)
 
 
-def clip_scales_vectorised(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
-    """Clip factors min(1, C/||g_i||), verified on all clipped rows at once.
+def per_example_rows(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray:
+    """(B, P) gradients, each from its own one-sequence backward pass.
 
-    Re-scales every still-clipped row in one (k, P) copy per pass and nudges
-    the factors whose scaled norm exceeds the bound down by one ulp, until no
-    row does. Same contract as ``privacy.clip_scales``, written without its
-    row-by-row loop.
+    No row shares a batch, padding or a contraction with another, so the
+    rows are an independent reference for batched norms and weighted sums.
     """
-    norms = np.linalg.norm(stacked, axis=1)
-    with np.errstate(divide="ignore"):
-        scales = np.minimum(1.0, np.where(norms > 0, clip_bound / norms, 1.0))
-    clipped = scales < 1.0
-    while clipped.any():
-        over = np.zeros_like(clipped)
-        over[clipped] = (
-            np.linalg.norm(stacked[clipped] * scales[clipped, None], axis=1) > clip_bound
-        )
-        scales[over] = np.nextafter(scales[over], 0.0)
-        clipped = over
-    return scales
+    return np.stack([lm.per_example_gradient(params, seq)[1] for seq in seqs])

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privlm import lm
 from privlm.corpus import TokenSequence
 from privlm.lm import LMError, LMParameters
 
-from conftest import traced_peak
-from oracles import finite_difference_gradient
+from conftest import lm_batches, traced_peak
+from oracles import finite_difference_gradient, per_example_rows
 
 # Relative-error floor for gradient checks: the central-difference oracle
 # itself carries ~1e-10 absolute noise, so entries below the floor cannot be
@@ -229,6 +231,28 @@ class TestGradients:
             row = LMParameters(stacked[b], 10, 4, 4)
             expected = [row.emb, row.lstm_W, row.lstm_b, row.out_W, row.out_b]
             assert all(np.array_equal(v[b], e) for v, e in zip(blocks, expected))
+
+
+class TestGradientFactors:
+    """Ghost norms and the weighted contraction against one-sequence rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lm_batches())
+    def test_norms_match_reference_rows(self, batch):
+        params, seqs = batch
+        ref = np.linalg.norm(per_example_rows(params, seqs), axis=1)
+        ghost = lm.backprop(params, seqs).norms()
+        assert np.all(np.abs(ghost - ref) <= 1e-12 * ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lm_batches(), st.data())
+    def test_weighted_sum_matches_reference_rows(self, batch, data):
+        params, seqs = batch
+        weight = st.floats(0.0, 1.0, allow_subnormal=False)
+        w = np.array(data.draw(st.lists(weight, min_size=len(seqs), max_size=len(seqs))))
+        ref = w @ per_example_rows(params, seqs)
+        got = lm.backprop(params, seqs).weighted_sum(w)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestGradientMemory:

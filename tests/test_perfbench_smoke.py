@@ -1,0 +1,35 @@
+"""The benchmark harness runs a traced workload end to end.
+
+perfbench/measure.py drives the package through its public entry points,
+checks every repetition's outputs and reads the results of traced calls in
+its span annotations. This runs the ``cadp_desk`` workload in process, as
+``perfbench/run.py --workload cadp_desk --seed 1 --seconds 0 --trace 1``
+would, with no timing gate.
+"""
+
+import importlib
+import json
+import math
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = ("attacks", "corpus", "detector", "experiment", "lm", "privacy", "report", "synth")
+
+
+def test_traced_cadp_desk_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # workload configs name package data relative to the checkout
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    measure = importlib.import_module("measure")
+    workloads = importlib.import_module("workloads")
+    pl = importlib.import_module("privlm")
+    for name in SUBMODULES:
+        importlib.import_module(f"privlm.{name}")
+
+    record = measure.run_workload(pl, workloads.WORKLOADS["cadp_desk"], 1, 0.0, True, tmp_path)
+
+    assert record["failed"] == 0, record["failures"]
+    assert not record["untraced_targets"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    missing = [m["name"] for m in spec["per_layer"] if m["name"] not in record["metrics"]]
+    assert not missing
+    assert all(math.isfinite(record["metrics"][m["name"]]) for m in spec["per_layer"])

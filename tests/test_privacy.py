@@ -21,8 +21,8 @@ from privlm.privacy import (
     sequential_composition_budget,
 )
 
-from conftest import traced_peak
-from oracles import clip_scales_vectorised, renyi_divergence_quadrature
+from conftest import lm_batches, traced_peak
+from oracles import per_example_rows, renyi_divergence_quadrature
 
 
 def grad_from_vector(vec, params):
@@ -97,16 +97,27 @@ class TestClip:
         rows=st.integers(1, 40),
         cols=st.integers(1, 300),
         clip=st.floats(1e-3, 50.0),
+        clip_at_row_norm=st.booleans(),
     )
-    def test_matches_vectorised_oracle(self, seed, rows, cols, clip):
+    def test_scale_rule_oracle(self, seed, rows, cols, clip, clip_at_row_norm):
         rng = np.random.default_rng(seed)
         stacked = rng.normal(size=(rows, cols)) * rng.uniform(0.01, 30, size=(rows, 1))
         stacked[rng.random(rows) < 0.1] = 0.0
-        assert np.array_equal(clip_scales(stacked, clip), clip_scales_vectorised(stacked, clip))
+        norms = np.linalg.norm(stacked, axis=1)
+        if clip_at_row_norm and norms[0] > 0:
+            clip = norms[0]  # a row exactly at the bound is not clipped
+        scales = clip_scales(stacked, clip)
+        scaled = stacked * scales[:, None]
+        clipped = norms > clip
+        assert np.all(np.linalg.norm(scaled, axis=1) <= clip)
+        kappa = privacy.CLIP_SLACK
+        assert np.all(scales[clipped] >= clip / norms[clipped] * (1 - 2 * kappa))
+        assert np.all(scales[~clipped] == 1.0)
+        assert np.array_equal(scaled[~clipped], stacked[~clipped])
 
     def test_peak_memory_of_clipping_every_row(self):
-        # Clipped rows are verified one at a time, so beyond the norm pass no
-        # copy of the (B, P) stack is made even when every row is clipped.
+        # Clipped rows need no re-check, so beyond the norm pass no copy of
+        # the (B, P) stack is made even when every row is clipped.
         V, B = 2000, 32
         params = lm.init_params(V, 8, 8, seed=0)
         rng = np.random.default_rng(0)
@@ -117,6 +128,52 @@ class TestClip:
         bound = 0.5 * np.linalg.norm(stacked, axis=1).min()
         assert np.all(clip_scales(stacked, bound) < 1.0)
         assert traced_peak(lambda: clip_scales(stacked, bound)) < 1.2 * stacked.nbytes
+
+
+class TestGhostClipping:
+    """Scales from ghost norms, checked against one-sequence gradient rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lm_batches(), st.floats(0.05, 0.9))
+    def test_clipped_rows_within_bound(self, batch, fraction):
+        params, seqs = batch
+        rows = per_example_rows(params, seqs)
+        c = fraction * float(np.linalg.norm(rows, axis=1).max())
+        scales = privacy.scales_for_norms(lm.backprop(params, seqs).norms(), c)
+        assert np.any(scales < 1.0)
+        for s, g in zip(scales, rows):
+            if s < 1.0:
+                assert np.linalg.norm(s * g) <= c
+            else:  # the ghost norm is within 1e-12 of the row's (tests/test_lm.py)
+                assert np.linalg.norm(g) <= c * (1 + 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_out_W_raises(self, tiny_params, bad):
+        params = lm.LMParameters(tiny_params.theta.copy(), 6, 3, 3)
+        params.out_W[1, 2] = bad
+        batch = [TokenSequence((1, 2, 3, 4), "t"), TokenSequence((0, 5), "t")]
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        with np.errstate(all="ignore"), pytest.raises(PrivacyError, match="non-finite"):
+            dp_sgd_step(params, batch, spec, noise=0)
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("private", [True, False])
+    def test_peak_below_three_quarters_of_the_stack(self, private):
+        # Neither step materialises the (B, P) per-example stack; the largest
+        # array alive is the (T, B, V) output error.
+        V, B = 2000, 32
+        params = lm.init_params(V, 8, 8, seed=0)
+        rng = np.random.default_rng(0)
+        seqs = [
+            TokenSequence(tuple(int(x) for x in rng.integers(0, V, size=8)), "t") for _ in range(B)
+        ]  # T = 7
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, delta=1e-5, alpha=2.0, eta=0.1)
+        if private:
+            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, noise=0))
+        else:
+            peak = traced_peak(lambda: plain_sgd_step(params, seqs, eta=0.1))
+        assert peak < 0.75 * B * params.num_params * 8
 
 
 class TestDpSgdStep:
