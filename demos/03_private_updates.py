@@ -16,20 +16,21 @@ params = lm.init_params(vocab.size, 8, 8, seed=0)
 batch = [TokenSequence.from_text(f"w{i} w{(i+1)%11} w{(i+2)%11} w{(i+3)%11}", vocab)
          for i in range(6)]
 
-# Clipping bounds each example's influence on the update: every row of the
-# per-example gradient stack is scaled to L2 norm at most the bound.
-_, stacked = lm.batch_gradients(params, batch)
-clipped = stacked * privacy.clip_scales(stacked, clip_bound=0.5)[:, None]
-print("per-example gradient norms:", np.linalg.norm(stacked, axis=1).round(4))
-print("after clipping to 0.5:     ", np.linalg.norm(clipped, axis=1).round(4))
-print("clipping is idempotent:", bool(np.all(privacy.clip_scales(clipped, 0.5) == 1.0)))
-
-# Training steps never build that stack: the norms come from the factors
-# BPTT keeps (ghost norms), and one contraction weighted by the clip scales
-# gives the clipped sum.
+# Clipping bounds each example's influence on the update: every example's
+# gradient is scaled to L2 norm at most the bound. Training steps never build
+# the per-example gradients: the norms come from the factors BPTT keeps
+# (ghost norms), and one contraction weighted by the clip scales gives the
+# clipped sum. Here the rows are built one sequence at a time to compare.
+rows = np.stack([lm.per_example_gradient(params, seq)[1] for seq in batch])
+row_norms = np.linalg.norm(rows, axis=1)
 ghost = lm.backprop(params, batch).norms()
+print("per-example gradient norms:", row_norms.round(4))
 print("ghost norms from factors:  ", ghost.round(4),
-      f"(largest relative difference {np.max(np.abs(ghost / np.linalg.norm(stacked, axis=1) - 1)):.1e})")
+      f"(largest relative difference {np.max(np.abs(ghost / row_norms - 1)):.1e})")
+clipped = rows * privacy.scales_for_norms(ghost, clip_bound=0.5)[:, None]
+clipped_norms = np.linalg.norm(clipped, axis=1)
+print("after clipping to 0.5:     ", clipped_norms.round(4))
+print("clipping is idempotent:", bool(np.all(privacy.scales_for_norms(clipped_norms, 0.5) == 1.0)))
 
 spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
 stepped = privacy.dp_sgd_step(params, batch, spec, noise=42)

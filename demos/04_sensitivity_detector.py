@@ -1,9 +1,10 @@
 """The sensitivity detector: paraphrase augmentation, training, partitioning.
 
 Builds a detector from a handful of secret-style seed sentences plus their
-seeded synonym paraphrases, then uses it to split batches into sensitive and
-non-sensitive parts, and finally runs the minimal-context audit against a
-small trained language model.
+seeded synonym paraphrases, then uses its flags to split a batch into the
+sensitive part (private step) and the rest (plain step), as training does,
+and finally runs the minimal-context audit against a small trained language
+model.
 """
 
 from privlm import lm, privacy
@@ -12,12 +13,10 @@ from privlm.detector import (
     AugmentationConfig,
     audit_context,
     build_detector_dataset,
-    classify,
     default_synonyms,
     estimate_gamma,
     identity_augmentation,
     paraphrase,
-    partition_batch,
     train_detector,
 )
 
@@ -61,19 +60,15 @@ held_out = [paraphrase(s, aug, k) for s in seeds for k in range(50, 60)]
 print(f"gamma on 40 fresh paraphrases: {estimate_gamma(model, held_out):.3f}")
 
 print("\nclassifying:")
-for text in ("My new bank security code is", neutral[0]):
-    label, score = classify(model, text)
-    print(f"  {'SENSITIVE ' if label else 'non-sensitive'} ({score:.3f}): {text}")
+texts = ["My new bank security code is", neutral[0]]
+for text, flag, score in zip(texts, model.flags(texts), model.score_texts(texts)):
+    print(f"  {'SENSITIVE ' if flag else 'non-sensitive'} ({score:.3f}): {text}")
 
-vocab = Vocabulary()
-for t in neutral + ["my banking security pin reads 452"]:
-    for tok in t.split():
-        vocab.add(tok)
-batch = [TokenSequence.from_text(t, vocab)
-         for t in neutral[:5] + ["my banking security pin reads 452"]]
-b_s, b_ns = partition_batch(model, batch)
-print(f"\npartitioned a 6-sequence batch: {len(b_s)} sensitive, {len(b_ns)} plain")
-print("sensitive part:", [s.source_text for s in b_s])
+batch = neutral[:5] + ["my banking security pin reads 452"]
+flags = model.flags(batch)
+print(f"\npartitioned a 6-sequence batch: {int(flags.sum())} sensitive, "
+      f"{int((~flags).sum())} plain")
+print("sensitive part:", [t for t, flag in zip(batch, flags) if flag])
 
 # Minimal-context audit: how much preceding text does a model need before
 # it predicts the secret almost as well as with the full prefix?

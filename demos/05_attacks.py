@@ -12,9 +12,10 @@ import tempfile
 from privlm import lm, privacy, synth
 from privlm.attacks import (
     build_mi_dataset,
-    canary_rank,
+    candidate_perplexities,
     exposure,
     membership_inference,
+    rank_from_perplexities,
 )
 from privlm.corpus import (
     CanaryTemplate,
@@ -44,7 +45,7 @@ print(f"trained 15 epochs; validation perplexity {lm.corpus_perplexity(params, t
 
 candidates = enumerate_canaries(template, corpus.vocabulary)
 planted_index = list(template.fills()).index("42")
-rank = canary_rank(params, candidates, planted_index)
+rank = rank_from_perplexities(candidate_perplexities(params, candidates), planted_index)
 expo = exposure(rank, template.candidate_space_size)
 print(f"\ncanary rank {rank} of {template.candidate_space_size} -> exposure "
       f"{expo:.3f} (max {math.log2(template.candidate_space_size):.3f})")

@@ -9,9 +9,10 @@ models with canary-exposure and membership-inference attacks.
 from .attacks import (
     AttackReport,
     build_mi_dataset,
-    canary_rank,
+    candidate_perplexities,
     exposure,
     membership_inference,
+    rank_from_perplexities,
 )
 from .corpus import (
     CanaryTemplate,
@@ -30,10 +31,8 @@ from .detector import (
     DetectorModel,
     audit_context,
     build_detector_dataset,
-    classify,
     estimate_gamma,
     paraphrase,
-    partition_batch,
     train_detector,
 )
 from .experiment import ExperimentConfig, run_attacks, train

@@ -69,13 +69,6 @@ def rank_from_perplexities(perplexities: np.ndarray, planted_index: int) -> int:
     return int(np.sum(perplexities <= perplexities[planted_index]))
 
 
-def canary_rank(
-    params: LMParameters, candidates: list[TokenSequence], planted_index: int
-) -> int:
-    """Perplexity rank of the planted canary among all template fills."""
-    return rank_from_perplexities(candidate_perplexities(params, candidates), planted_index)
-
-
 def exposure(rank: int, candidate_space_size: int) -> float:
     """log2(space size) - log2(rank); in [0, log2(space size)]."""
     if candidate_space_size < 1:

@@ -258,6 +258,9 @@ def load_corpus(
             raise CorpusError(
                 f"labels file has {len(label_lines)} entries for {len(sequences)} sequences"
             )
+        for i, v in enumerate(label_lines, 1):
+            if v not in ("0", "1"):
+                raise CorpusError(f"labels file {labels_path}, line {i}: expected 0 or 1, got {v!r}")
         labels = [v == "1" for v in label_lines]
 
     return Corpus(sequences=sequences, vocabulary=vocab, labels=labels)
@@ -266,8 +269,8 @@ def load_corpus(
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Deterministic seeded shuffle and partition into (train, test).
 
-    Sizes are ceil(f*N) and N - ceil(f*N); both halves share the vocabulary
-    object so later extensions stay consistent.
+    Sizes are ceil(f*N) and N - ceil(f*N), and neither may be 0; both halves
+    share the vocabulary object so later extensions stay consistent.
     """
     if not (0.0 < train_fraction < 1.0):
         raise CorpusError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -276,6 +279,10 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     order = rng.permutation(n)
     # Guard against float slop like 0.7*10 = 6.999...96 when f*N is integral.
     n_train = int(math.ceil(train_fraction * n - 1e-9))
+    if not 0 < n_train < n:
+        raise CorpusError(
+            f"train_fraction {train_fraction} of {n} sequences leaves an empty train or test split"
+        )
     train_idx, test_idx = order[:n_train], order[n_train:]
 
     def take(idx: np.ndarray) -> Corpus:
@@ -318,22 +325,18 @@ def plant_canary(
 
     Returns the new corpus and the positions (indices in the returned corpus)
     of the planted copies. The vocabulary is extended with the prefix tokens
-    and the full fill space. Planted sequences are labeled sensitive when the
-    corpus carries labels.
+    and the full fill space, also when ``count`` is 0, so that a control run
+    without planted copies can still score every candidate fill. Planted
+    sequences are labeled sensitive when the corpus carries labels.
     """
-    if not template.is_valid_fill(fill):
-        raise CorpusError(
-            f"fill {fill!r} is not drawn from the template slot space "
-            f"(alphabet {template.slot_alphabet!r}, {template.slot_count} chars)"
-        )
     if count < 0:
         raise CorpusError("count must be >= 0")
+    sentence = template.sentence(fill)
+    extend_vocabulary_for_template(corpus.vocabulary, template)
     if count == 0:
         labels = list(corpus.labels) if corpus.labels is not None else None
         return Corpus(list(corpus.sequences), corpus.vocabulary, labels), []
 
-    extend_vocabulary_for_template(corpus.vocabulary, template)
-    sentence = template.sentence(fill)
     canary = TokenSequence.from_text(sentence, corpus.vocabulary, max_len=max_len)
     if len(canary) < 2:
         raise CorpusError("instantiated canary must have at least two tokens")

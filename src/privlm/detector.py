@@ -33,6 +33,7 @@ from .lm import LMParameters
 DETECTOR_MAGIC = "DETECTOR1"
 CHAR_NGRAM_RANGE = (3, 5)
 WORD_NGRAM_RANGE = (1, 2)
+L2_PENALTY = 1e-4  # ridge weight of the detector's logistic loss
 
 
 class DetectorError(ValueError):
@@ -67,8 +68,8 @@ class AugmentationConfig:
     """Seeded synonym-substitution paraphraser settings.
 
     ``substitution_rate`` is the per-word replacement probability for words
-    with table entries; ``passes`` is the default number of independent
-    paraphrases generated per input when building detector datasets.
+    with table entries; ``passes`` is the number of independent paraphrases
+    generated per seed when building detector datasets.
     """
 
     synonym_table: dict[str, list[str]]
@@ -166,9 +167,6 @@ class DetectorModel:
         X = featurize(texts, self.char_dim, self.word_dim)
         return lm._sigmoid(np.asarray(X @ self.weights) + self.bias)
 
-    def score(self, text: str) -> float:
-        return float(self.score_texts([text])[0])
-
     def flags(self, texts: list[str]) -> np.ndarray:
         """Sensitivity decision per text: sigmoid score >= threshold."""
         return self.score_texts(texts) >= self.threshold
@@ -230,17 +228,6 @@ def constant_detector(flag_everything: bool, char_dim: int = 16, word_dim: int =
     )
 
 
-def classify(model: DetectorModel, seq: TokenSequence | str) -> tuple[bool, float]:
-    """(is_sensitive, score): sensitive iff sigmoid score >= threshold.
-
-    The detector reads raw text, so a TokenSequence is classified by its
-    source text.
-    """
-    text = seq if isinstance(seq, str) else seq.source_text
-    score = model.score(text)
-    return bool(model.flags([text])[0]), score
-
-
 @dataclass
 class DetectorDataset:
     """Labeled texts for detector training; label True means sensitive."""
@@ -255,15 +242,12 @@ def build_detector_dataset(
     sensitive_seeds: list[str],
     negatives: Corpus | list[str],
     cfg: AugmentationConfig,
-    variants_per_seed: int | None = None,
 ) -> DetectorDataset:
-    """Positives = seeds plus paraphrased variants; negatives = corpus lines.
+    """Positives = seeds plus ``cfg.passes`` paraphrases of each; negatives = corpus lines.
 
-    ``variants_per_seed`` defaults to ``cfg.passes``. Both classes are
-    deduplicated and any negative that exactly matches a positive is dropped.
+    Both classes are deduplicated and any negative that exactly matches a
+    positive is dropped.
     """
-    if variants_per_seed is None:
-        variants_per_seed = cfg.passes
     neg_texts = negatives.texts() if isinstance(negatives, Corpus) else list(negatives)
     if not sensitive_seeds or not neg_texts:
         raise DetectorError("both classes must be non-empty")
@@ -272,7 +256,7 @@ def build_detector_dataset(
     seen: set[str] = set()
     for seed_text in sensitive_seeds:
         for candidate in [seed_text] + [
-            paraphrase(seed_text, cfg, k) for k in range(variants_per_seed)
+            paraphrase(seed_text, cfg, k) for k in range(cfg.passes)
         ]:
             if candidate not in seen:
                 seen.add(candidate)
@@ -302,7 +286,6 @@ def train_detector(
     word_dim: int = 2048,
     fpr_cap: float = 0.05,
     val_fraction: float = 0.25,
-    l2: float = 1e-4,
 ) -> DetectorModel:
     """Logistic regression by full-batch gradient descent, seeded and exact.
 
@@ -311,6 +294,8 @@ def train_detector(
     rate at most ``fpr_cap``, and the achieved TPR is stored as
     ``measured_gamma``.
     """
+    if not (0.0 <= fpr_cap <= 1.0):
+        raise DetectorError(f"fpr_cap must be in [0, 1], got {fpr_cap}")
     y = dataset.labels
     if not y.any() or y.all():
         raise DetectorError("detector training needs both classes present")
@@ -333,7 +318,7 @@ def train_detector(
     for _ in range(epochs):
         p = lm._sigmoid(np.asarray(Xtr @ w) + b)
         err = p - ytr
-        w -= eta * (np.asarray(Xtr.T @ err) / n + l2 * w)
+        w -= eta * (np.asarray(Xtr.T @ err) / n + L2_PENALTY * w)
         b -= eta * float(err.mean())
 
     val_scores = lm._sigmoid(np.asarray(X[val_idx] @ w) + b)
@@ -386,16 +371,6 @@ def estimate_gamma(model: DetectorModel, held_out_positives: list[str]) -> float
     if not held_out_positives:
         raise DetectorError("cannot estimate gamma on an empty positive set")
     return float(model.flags(held_out_positives).sum()) / len(held_out_positives)
-
-
-def partition_batch(
-    model: DetectorModel, batch: list[TokenSequence]
-) -> tuple[list[TokenSequence], list[TokenSequence]]:
-    """Split a batch into (sensitive, non-sensitive), preserving order."""
-    flags = model.flags([s.source_text for s in batch])
-    sensitive = [s for s, flag in zip(batch, flags) if flag]
-    plain = [s for s, flag in zip(batch, flags) if not flag]
-    return sensitive, plain
 
 
 @dataclass

@@ -23,6 +23,7 @@ the schemas below for every key and its default.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -41,7 +42,6 @@ from .corpus import (
     TokenSequence,
     Vocabulary,
     enumerate_canaries,
-    extend_vocabulary_for_template,
     load_corpus,
     minibatches,
     plant_canary,
@@ -194,6 +194,8 @@ class ExperimentConfig:
             raise ExperimentError("cadp requires a 'detector' checkpoint path")
         if v["regime"] == "sdpsgd" and not [p for p in v["secret_pattern"] if p]:
             raise ExperimentError("sdpsgd requires at least one 'secret_pattern'")
+        if v["mi_members"] not in ("sensitive", "all"):
+            raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
             raise ExperimentError("canary planting requires 'canary_fill'")
 
@@ -257,9 +259,6 @@ def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], i
     planted_idx = None
     if config["canary_prefix"]:
         template = _template_from_config(config)
-        # Extend even when count is 0 so a control run (no planted copies)
-        # yields a model that can still score every candidate fill.
-        extend_vocabulary_for_template(train.vocabulary, template)
         train, positions = plant_canary(
             train,
             template,
@@ -378,15 +377,10 @@ def train(config: ExperimentConfig) -> dict:
         try:
             eps_total, _ = privacy.selective_dp_budget(state, config["delta"])
             manifest["audit"] = {
+                **dataclasses.asdict(state),
                 "sigma": config["sigma"],
                 "clip_bound": config["clip_bound"],
-                "alpha": config["rdp_alpha"],
                 "delta": config["delta"],
-                "gamma": gamma,
-                "epochs": config["epochs"],
-                "sensitive_count": sensitive_count,
-                "batch_size": config["batch_size"],
-                "per_step_epsilon": per_step_eps,
                 "eps_total": eps_total,
                 "sequential_composition_reference_eps": privacy.sequential_composition_budget(
                     per_step_eps, private_steps, config["rdp_alpha"], config["delta"]

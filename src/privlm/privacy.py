@@ -99,6 +99,8 @@ class AccountantState:
             raise PrivacyError("per_step_epsilon must be >= 0")
         if not (0.0 <= self.gamma <= 1.0):
             raise PrivacyError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.alpha <= 1:
+            raise PrivacyError(f"alpha must be > 1, got {self.alpha}")
 
 
 def scales_for_norms(norms: np.ndarray, clip_bound: float) -> np.ndarray:
@@ -206,42 +208,21 @@ def rdp_to_dp(eps_rdp: float, alpha: float, delta: float) -> float:
     return eps_rdp + math.log(1.0 / delta) / (alpha - 1.0)
 
 
-def selective_dp_budget(
-    state: AccountantState, delta: float, audit_log: list | None = None
-) -> tuple[float, float]:
+def selective_dp_budget(state: AccountantState, delta: float) -> tuple[float, float]:
     """Total (eps, delta)-DP of selective training, per the composition bound.
 
     eps = T * N_S * eps_step / |B| + ln(1/delta)/(alpha - 1), valid for any
     delta in (1 - gamma, 1): the detector misses a sensitive sequence with
     probability 1 - gamma, and a missed sequence is trained without noise, so
     no smaller failure probability can be honoured.
-
-    If ``audit_log`` is given, the full input/output record is appended to it.
     """
-    if delta >= 1.0 or delta <= 0.0:
-        raise PrivacyError(f"delta must be in (0, 1), got {delta}")
+    rdp = state.epochs * state.sensitive_count * state.per_step_epsilon / state.batch_size
+    eps_total = rdp_to_dp(rdp, state.alpha, delta)
     floor = 1.0 - state.gamma
     if delta <= floor:
         raise PrivacyError(
             f"delta={delta} violates the detector true-positive-rate constraint: "
             f"delta must exceed 1 - gamma = {floor} (gamma={state.gamma})"
-        )
-    eps_total = (
-        state.epochs * state.sensitive_count * state.per_step_epsilon / state.batch_size
-        + math.log(1.0 / delta) / (state.alpha - 1.0)
-    )
-    if audit_log is not None:
-        audit_log.append(
-            {
-                "epochs": state.epochs,
-                "sensitive_count": state.sensitive_count,
-                "batch_size": state.batch_size,
-                "per_step_epsilon": state.per_step_epsilon,
-                "gamma": state.gamma,
-                "alpha": state.alpha,
-                "delta": delta,
-                "eps_total": eps_total,
-            }
         )
     return eps_total, delta
 

@@ -36,7 +36,12 @@ from privlm.experiment import (
 from privlm.privacy import AccountantState, PrivacyError, PrivacySpec
 
 from conftest import record_acceptance
-from oracles import finite_difference_gradient, rank_by_sorting, renyi_divergence_quadrature
+from oracles import (
+    finite_difference_gradient,
+    per_example_rows,
+    rank_by_sorting,
+    renyi_divergence_quadrature,
+)
 
 # Desk-scale defaults chosen by calibration: the noise std per private step
 # is sigma*clip_bound; raising sigma at a fixed product scrambles the canary
@@ -170,39 +175,47 @@ def test_criterion_01_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_clipping_noise_contract():
-    # (a) post-clip norms <= C, exactly, for 10^4 random gradients
+    # (a) post-clip norms <= C, exactly, for 10^4 random gradients, and for
+    # every clipped example of an LM batch: scales from the ghost norms the
+    # private step uses, rows from one-sequence backward passes
     rng = np.random.default_rng(7)
     stacked = rng.normal(size=(10_000, 16)) * rng.uniform(0.01, 40, size=(10_000, 1))
     c = 1.3
-    scales = privacy.clip_scales(stacked, c)
+    scales = privacy.scales_for_norms(np.linalg.norm(stacked, axis=1), c)
     norms = np.linalg.norm(stacked * scales[:, None], axis=1)
     norm_ok = bool(np.all(norms <= c))
 
-    # (b) sigma -> 0 with inactive clipping reproduces plain SGD bit-for-bit
     params = lm.init_params(10, 6, 6, seed=0)
     batch = [
         TokenSequence(ids=tuple(int(x) for x in rng.integers(0, 10, size=5)), source_text="b")
         for _ in range(4)
     ]
-    _, grads = lm.batch_gradients(params, batch)
-    big_c = float(np.linalg.norm(grads, axis=1).max()) * 10 + 1
+    rows = per_example_rows(params, batch)
+    c2, sigma = 0.5, 2.0
+    ghost_scales = privacy.scales_for_norms(lm.backprop(params, batch).norms(), c2)
+    lm_clipped = np.linalg.norm(rows * ghost_scales[:, None], axis=1)
+    norm_ok = norm_ok and bool(np.all(ghost_scales < 1.0) and np.all(lm_clipped <= c2))
+
+    # (b) sigma -> 0 with inactive clipping reproduces plain SGD bit-for-bit
+    big_c = float(np.linalg.norm(rows, axis=1).max()) * 10 + 1
     spec = PrivacySpec(sigma=1e-300, clip_bound=big_c, delta=1e-5, alpha=2.0, eta=0.1)
     private = privacy.dp_sgd_step(params, batch, spec, noise=5)
     plain = privacy.plain_sgd_step(params, batch, eta=0.1)
     bitwise_ok = np.array_equal(private.theta, plain.theta)
 
-    # (c) Monte-Carlo mean of the noised update vs the clipped mean, with
-    # real LM gradients and the stated 3-sigma band
-    c2, sigma = 0.5, 2.0
-    scales2 = privacy.clip_scales(grads, c2)
-    clipped_mean = (scales2 @ grads) / grads.shape[0]
+    # (c) Monte-Carlo mean of the private step's update (theta - theta')/eta
+    # over draws from one generator vs the oracle rows' clipped mean, with
+    # the stated 3-sigma band
+    scales2 = privacy.scales_for_norms(np.linalg.norm(rows, axis=1), c2)
+    clipped_mean = (scales2 @ rows) / len(batch)
+    spec2 = PrivacySpec(sigma=sigma, clip_bound=c2, delta=1e-5, alpha=2.0, eta=1.0)
     draws = 10_000
     noise_rng = np.random.default_rng(99)
-    acc = np.zeros(grads.shape[1])
+    acc = np.zeros(rows.shape[1])
     for _ in range(draws):
-        acc += privacy.noisy_clipped_mean(grads, c2, sigma, noise_rng)
-    band = 3.0 * (sigma * c2) / math.sqrt(draws * grads.shape[0])
-    mc_ok = bool(np.all(np.abs(acc / draws - clipped_mean) <= band))
+        acc += params.theta - privacy.dp_sgd_step(params, batch, spec2, noise_rng).theta
+    band = 3.0 * (sigma * c2) / math.sqrt(draws * len(batch))
+    mc_ok = bool(np.all(np.abs(acc / (draws * spec2.eta) - clipped_mean) <= band))
 
     _check(
         2,
@@ -311,7 +324,7 @@ def test_criterion_06_protection(desk_bundle):
     patterns = [re.compile(p) for p in desk_bundle["data"].secret_patterns]
     regex_misses = not any(p.search(canary_text) for p in patterns)
     detector = desk_bundle["detector"]
-    detector_catches = detector.score(canary_text) >= detector.threshold
+    detector_catches = bool(detector.flags([canary_text])[0])
 
     _check(
         6,

@@ -9,7 +9,6 @@ from privlm import lm
 from privlm.attacks import (
     AttackError,
     build_mi_dataset,
-    canary_rank,
     candidate_perplexities,
     dump_perplexity_table,
     exposure,
@@ -89,7 +88,7 @@ class TestRank:
         for _ in range(150):
             _, grad = lm.per_example_gradient(params, candidates[planted])
             params = lm.apply_update(params, grad, 0.5)
-        assert canary_rank(params, candidates, planted) == 1
+        assert rank_from_perplexities(candidate_perplexities(params, candidates), planted) == 1
 
 
 class TestExposure:

@@ -99,6 +99,15 @@ class TestLoadCorpus:
         corpus = load_corpus(path, labels_path=labels)
         assert corpus.labels == [True, False, True]
 
+    @pytest.mark.parametrize("bad", ["true", "2", "yes"])
+    def test_labels_other_than_zero_one_rejected(self, tmp_path, bad):
+        path = tmp_path / "c.txt"
+        path.write_text("a b\nc d\ne f\n", encoding="utf-8")
+        labels = tmp_path / "c.labels.txt"
+        labels.write_text(f"1\n0\n{bad}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"line 3: expected 0 or 1, got '{bad}'"):
+            load_corpus(path, labels_path=labels)
+
 
 class TestVocabulary:
     def test_ids_contiguous_and_inverse(self):
@@ -149,6 +158,13 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(CorpusError):
                 split_corpus(corpus, bad, seed=0)
+
+    def test_empty_half_rejected(self):
+        corpus = make_corpus([f"tok{i} x" for i in range(10)])
+        for fraction in (0.99, 0.95):
+            with pytest.raises(CorpusError, match="empty train or test split"):
+                split_corpus(corpus, fraction, seed=0)
+        assert [len(half) for half in split_corpus(corpus, 0.9, seed=0)] == [9, 1]
 
     def test_split_is_a_partition(self):
         corpus = make_corpus([f"tok{i} w{i%3}" for i in range(17)])
@@ -207,6 +223,13 @@ class TestPlantCanary:
         planted, positions = plant_canary(corpus, template, "450", count=0, seed=1)
         assert planted.texts() == corpus.texts()
         assert positions == []
+
+    def test_count_zero_still_extends_vocabulary(self):
+        # A control run without planted copies must still score every fill.
+        template = CanaryTemplate("my code is ", "12", 2)
+        planted, _ = plant_canary(self.make(), template, "21", count=0, seed=0)
+        for token in ("my", "code", "is", "11", "12", "21", "22"):
+            assert token in planted.vocabulary
 
     def test_count_450_grows_corpus_by_450(self):
         corpus = self.make(100)

@@ -1,11 +1,12 @@
 """Demos 01-05 run to completion against the package in src/ and leave no
-temporary directory behind.
+temporary directory behind; the README's library imports resolve.
 
 06_full_pipeline.py trains four desk-scale models and takes minutes, so it
 is left out.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,11 @@ def test_demo_exits_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.glob("demo0*")), "demo left its temporary directory behind"
+
+
+def test_readme_library_imports_resolve():
+    """The README's ``from privlm import (...)`` block names only public names."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^from privlm import \(.*?^\)", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})

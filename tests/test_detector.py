@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from privlm import lm
+from privlm import lm, privacy
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
     AugmentationConfig,
@@ -9,14 +11,12 @@ from privlm.detector import (
     DetectorModel,
     audit_context,
     build_detector_dataset,
-    classify,
     constant_detector,
     default_synonyms,
     estimate_gamma,
     identity_augmentation,
     load_synonyms,
     paraphrase,
-    partition_batch,
     train_detector,
 )
 
@@ -56,7 +56,7 @@ def aug():
 
 @pytest.fixture(scope="module")
 def trained_detector(aug):
-    dataset = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, aug, variants_per_seed=12)
+    dataset = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, aug)
     return train_detector(dataset, epochs=250, eta=2.0, seed=3, char_dim=1024, word_dim=512)
 
 
@@ -100,17 +100,17 @@ class TestParaphrase:
 
 class TestDetectorDataset:
     def test_variant_fanout_bounded_by_dedup(self, aug):
-        ds = build_detector_dataset(["my bank security code is 450"], NEUTRAL_LINES, aug,
-                                    variants_per_seed=10)
+        ds = build_detector_dataset(["my bank security code is 450"], NEUTRAL_LINES,
+                                    dataclasses.replace(aug, passes=10))
         assert 1 <= ds.n_positive <= 11
 
     def test_no_variants(self, aug):
-        ds = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, aug, variants_per_seed=0)
+        ds = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, dataclasses.replace(aug, passes=0))
         assert ds.n_positive == len(CANARY_SEEDS)
 
     def test_overlap_removed_from_negatives(self, aug):
         negatives = NEUTRAL_LINES + [CANARY_SEEDS[0]]
-        ds = build_detector_dataset(CANARY_SEEDS, negatives, aug, variants_per_seed=0)
+        ds = build_detector_dataset(CANARY_SEEDS, negatives, dataclasses.replace(aug, passes=0))
         positives = set(ds.texts[: ds.n_positive])
         negatives_kept = ds.texts[ds.n_positive:]
         assert CANARY_SEEDS[0] not in negatives_kept
@@ -132,20 +132,17 @@ class TestTrainDetector:
     def test_separable_toy_set_perfect_heldout(self):
         positives = [f"zzz marker sentence number {i}" for i in range(12)]
         negatives = NEUTRAL_LINES
-        ds = build_detector_dataset(positives, negatives, identity_augmentation(),
-                                    variants_per_seed=0)
+        ds = build_detector_dataset(positives, negatives, identity_augmentation())
         model = train_detector(ds, epochs=200, eta=2.0, seed=1, char_dim=512, word_dim=256)
         assert model.measured_gamma == 1.0
         scores = model.score_texts(negatives)
         assert np.all(scores < model.threshold)
 
     def test_exact_canary_prefix_classified_sensitive(self, trained_detector):
-        label, score = classify(trained_detector, "My bank security code is")
-        assert label
+        assert trained_detector.flags(["My bank security code is"])[0]
 
     def test_variant_phrasing_classified_sensitive(self, trained_detector):
-        label, _ = classify(trained_detector, "My new bank security code is")
-        assert label
+        assert trained_detector.flags(["My new bank security code is"])[0]
 
     def test_heldout_tpr_on_augmented_family(self, trained_detector, aug):
         held_out = [
@@ -161,38 +158,32 @@ class TestTrainDetector:
         with pytest.raises(DetectorError):
             train_detector(ds)
 
+    @pytest.mark.parametrize("fpr_cap", [-0.1, 1.5])
+    def test_fpr_cap_outside_unit_interval_rejected(self, aug, fpr_cap):
+        ds = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, dataclasses.replace(aug, passes=2))
+        with pytest.raises(DetectorError, match="fpr_cap"):
+            train_detector(ds, epochs=1, char_dim=64, word_dim=32, fpr_cap=fpr_cap)
+
 
 class TestClassify:
     def test_threshold_zero_flags_everything(self):
         model = constant_detector(flag_everything=True)
-        for text in NEUTRAL_LINES:
-            label, score = classify(model, text)
-            assert label and score == pytest.approx(0.5)
+        assert model.flags(NEUTRAL_LINES).all()
+        assert model.score_texts(NEUTRAL_LINES) == pytest.approx(0.5)
 
     def test_threshold_above_one_flags_nothing(self):
         model = constant_detector(flag_everything=False)
-        for text in NEUTRAL_LINES:
-            label, _ = classify(model, text)
-            assert not label
+        assert not model.flags(NEUTRAL_LINES).any()
 
     def test_label_flips_monotonically_in_threshold(self, trained_detector):
         text = "my bank security code is 450"
-        score = trained_detector.score(text)
-        import dataclasses
-
         labels = []
         for threshold in np.linspace(0, 1.01, 25):
             m = dataclasses.replace(trained_detector, threshold=float(threshold))
-            labels.append(classify(m, text)[0])
+            labels.append(bool(m.flags([text])[0]))
         # once it turns off it stays off
         assert labels == sorted(labels, reverse=True)
         assert labels[0] is True
-
-    def test_accepts_token_sequences(self, trained_detector):
-        vocab = Vocabulary(["my", "bank", "security", "code", "is", "450"])
-        seq = TokenSequence.from_text("my bank security code is 450", vocab)
-        label, _ = classify(trained_detector, seq)
-        assert label
 
     def test_save_load_roundtrip(self, trained_detector, tmp_path):
         path = tmp_path / "det.bin"
@@ -201,8 +192,8 @@ class TestClassify:
         assert loaded.threshold == trained_detector.threshold
         assert loaded.measured_gamma == trained_detector.measured_gamma
         assert np.array_equal(loaded.weights, trained_detector.weights)
-        text = "my bank security code is 450"
-        assert loaded.score(text) == trained_detector.score(text)
+        texts = ["my bank security code is 450"] + NEUTRAL_LINES[:3]
+        assert np.array_equal(loaded.score_texts(texts), trained_detector.score_texts(texts))
 
     def test_load_rejects_header_missing_fields(self, tmp_path):
         path = tmp_path / "det.bin"
@@ -235,7 +226,7 @@ class TestEstimateGamma:
 
     def test_k_of_n_exact(self, trained_detector):
         texts = CANARY_SEEDS + NEUTRAL_LINES[:5]
-        flags = [classify(trained_detector, t)[0] for t in texts]
+        flags = [trained_detector.flags([t])[0] for t in texts]
         expected = sum(flags) / len(texts)
         assert estimate_gamma(trained_detector, texts) == expected
 
@@ -245,38 +236,24 @@ class TestEstimateGamma:
 
 
 class TestPartitionBatch:
-    def make_batch(self, texts):
-        vocab = Vocabulary()
-        for t in texts:
-            for tok in t.split():
-                vocab.add(tok.lower())
-        return [TokenSequence.from_text(t, vocab) for t in texts]
+    """The batch split training makes: the private step gets the flagged texts."""
 
     def test_always_sensitive_stub(self):
-        batch = self.make_batch(NEUTRAL_LINES[:5])
-        b_s, b_ns = partition_batch(constant_detector(True), batch)
-        assert b_s == batch and b_ns == []
+        assert constant_detector(True).flags(NEUTRAL_LINES[:5]).all()
 
     def test_never_sensitive_stub(self):
-        batch = self.make_batch(NEUTRAL_LINES[:5])
-        b_s, b_ns = partition_batch(constant_detector(False), batch)
-        assert b_s == [] and b_ns == batch
+        assert not constant_detector(False).flags(NEUTRAL_LINES[:5]).any()
 
     def test_trained_detector_isolates_planted_canary(self, trained_detector):
         texts = NEUTRAL_LINES[:7] + ["my bank security code is 450"]
-        batch = self.make_batch(texts)
-        b_s, b_ns = partition_batch(trained_detector, batch)
-        assert len(b_s) == 1
-        assert b_s[0].source_text == "my bank security code is 450"
-        assert len(b_ns) == 7
+        assert trained_detector.flags(texts).tolist() == [False] * 7 + [True]
 
     def test_disjoint_cover_preserving_order(self, trained_detector):
+        # One decision per text, in input order: a batch's flags are its texts' own.
         texts = NEUTRAL_LINES[:4] + ["my bank security code is 450"] + NEUTRAL_LINES[4:8]
-        batch = self.make_batch(texts)
-        b_s, b_ns = partition_batch(trained_detector, batch)
-        assert sorted(s.source_text for s in b_s + b_ns) == sorted(texts)
-        ns_texts = [s.source_text for s in b_ns]
-        assert ns_texts == [t for t in texts if t in ns_texts]
+        flags = trained_detector.flags(texts)
+        assert flags.tolist() == [bool(trained_detector.flags([t])[0]) for t in texts]
+        assert flags.sum() == 1 and flags[4]
 
 
 @pytest.fixture(scope="module")
@@ -291,8 +268,7 @@ def context_lm():
         seqs.append(TokenSequence.from_text(f"{filler} security code is 450", vocab))
     params = lm.init_params(vocab.size, 12, 12, seed=1)
     for _ in range(300):
-        _, stacked = lm.batch_gradients(params, seqs)
-        params = lm.apply_update(params, stacked.mean(axis=0), 0.5)
+        params = privacy.plain_sgd_step(params, seqs, eta=0.5)
     return params, vocab
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privlm import synth
+from privlm import privacy, synth
 from privlm.cli import main as cli_main
 from privlm.detector import constant_detector
 from privlm.experiment import (
@@ -114,6 +115,12 @@ class TestConfigParsing:
                 write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", regime="magic")
             )
 
+    def test_mi_members_typo_rejected(self, tmp_path, data_dir):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o",
+                                 mi_members="sensitve")
+        with pytest.raises(ExperimentError, match="mi_members"):
+            ExperimentConfig.from_file(cfg)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# a comment\n\nseeds = s.txt\nnegatives = n.txt\nout = d.bin\n",
@@ -215,6 +222,20 @@ class TestRegimeDispatch:
         assert manifest["private_step_count"] > 0
         assert manifest["audit"]["eps_total"] > 0
         assert manifest["audit"]["gamma"] == 1.0
+
+    def test_manifest_audit_records_accountant_inputs(self, data_dir, tmp_path):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run",
+                                 regime="dpsgd", epochs=1, sigma=1.5, delta=2e-5)
+        train(ExperimentConfig.from_file(cfg))
+        manifest = load_manifest(tmp_path / "run" / "manifest.json")
+        audit = manifest["audit"]
+        fields = [f.name for f in dataclasses.fields(privacy.AccountantState)]
+        state = privacy.AccountantState(**{k: audit[k] for k in fields})
+        assert (state.epochs, state.batch_size, state.alpha, state.gamma) == (1, 16, 2.0, 1.0)
+        assert state.sensitive_count == manifest["sensitive_count"] == manifest["n_train"]
+        assert state.per_step_epsilon == privacy.gaussian_rdp_epsilon(1.5, 2.0)
+        assert audit["delta"] == 2e-5
+        assert audit["eps_total"] == privacy.selective_dp_budget(state, audit["delta"])[0]
 
     def test_sdpsgd_partitions_by_regex(self, data_dir, tmp_path):
         cfg = write_train_config(
@@ -383,3 +404,15 @@ class TestCli:
         missing = tmp_path / "nope.cfg"
         assert cli_main(["train", "--config", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_cli_train_with_empty_test_split_returns_one(self, tmp_path, capsys):
+        corpus = tmp_path / "ten.txt"
+        corpus.write_text("".join(f"line {i} of ten\n" for i in range(10)), encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"regime = nodp\ncorpus = {corpus}\ntrain_fraction = 0.99\nepochs = 1\n"
+            f"d_emb = 4\nd_hid = 4\nout_dir = {tmp_path / 'run'}\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert "empty train or test split" in capsys.readouterr().err

@@ -294,13 +294,10 @@ class TestSelectiveBudget:
         eps, _ = selective_dp_budget(self.state(epochs=0), 1e-5)
         assert eps == pytest.approx(math.log(1e5), abs=1e-12)
 
-    def test_audit_log_records_inputs(self):
-        log = []
-        eps, _ = selective_dp_budget(self.state(), 1e-5, audit_log=log)
-        assert len(log) == 1
-        rec = log[0]
-        assert rec["epochs"] == 10 and rec["sensitive_count"] == 100
-        assert rec["eps_total"] == eps
+    def test_alpha_at_most_one_rejected(self):
+        for alpha in (1.0, 0.5):
+            with pytest.raises(PrivacyError, match="alpha"):
+                self.state(alpha=alpha)
 
     def test_delta_just_above_floor_accepted(self):
         state = self.state(gamma=0.95)
