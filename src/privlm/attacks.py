@@ -5,6 +5,12 @@ sequences. Exposure ranks the planted canary against every other fill of its
 template (lower perplexity = stronger memorization); membership inference
 pools known-member and known-non-member sequences and predicts the
 lowest-perplexity half as members.
+
+The fills of a template share every token but the last, so the candidates
+are scored from one forward pass of the shared prefix plus a gather over the
+fill row, log p(. | prefix): T one-row LSTM steps instead of a batched pass
+over every candidate. Every candidate reads the same prefix terms and the
+same fill row, so a candidate's rank no longer depends on its batch row.
 """
 
 from __future__ import annotations
@@ -51,10 +57,26 @@ class AttackReport:
 
 
 def candidate_perplexities(params: LMParameters, candidates: list[TokenSequence]) -> np.ndarray:
-    """Model perplexity of every candidate canary."""
+    """Model perplexity of every candidate canary.
+
+    The candidates must share every token but the last (the fill), as the
+    fills of one ``CanaryTemplate`` do. One forward pass over that prefix
+    gives both the prefix's NLL terms, common to every candidate, and in its
+    last row log p(. | prefix), from which each fill's term is gathered.
+    """
     if not candidates:
         raise AttackError("empty candidate list")
-    return lm.sequence_perplexities(params, candidates)
+    prefix = candidates[0].ids[:-1]
+    if any(c.ids[:-1] != prefix for c in candidates):
+        raise AttackError("candidates must share every token but the last (the fill)")
+    fills = np.array([c.ids[-1] for c in candidates])
+    if not np.all((0 <= fills) & (fills < params.vocab_size)):
+        raise AttackError(f"fill token id out of range for vocabulary of size {params.vocab_size}")
+    logp = lm.forward(params, candidates[0])  # (T, V); row t predicts token t+1
+    T = len(logp)
+    terms = np.tile(-logp[np.arange(T), candidates[0].ids[1:]], (len(candidates), 1))
+    terms[:, -1] = -logp[-1, fills]
+    return np.exp(terms.sum(axis=1) / T)
 
 
 def rank_from_perplexities(perplexities: np.ndarray, planted_index: int) -> int:

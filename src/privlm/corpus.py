@@ -183,6 +183,11 @@ class CanaryTemplate:
         # Canaries are encoded lowercased: an upper-case fill would collide.
         if self.slot_alphabet != self.slot_alphabet.lower():
             raise CorpusError(f"slot_alphabet must be lower-case: {self.slot_alphabet!r}")
+        # Otherwise the fill joins the prefix's last word into one token.
+        if self.slot_count > 0 and self.prefix and not self.prefix[-1].isspace():
+            raise CorpusError(
+                f"prefix {self.prefix!r} must end in whitespace so the fill is its own token"
+            )
 
     @property
     def candidate_space_size(self) -> int:

@@ -447,12 +447,18 @@ def run_attacks(
 
     Appends the report row to ``attacks.csv`` next to the manifest and
     returns it. The attacked member pool is rebuilt deterministically from
-    the manifest's config (sensitive-labeled training lines when labels are
-    available).
+    the manifest's config: the sensitive-labeled training lines for
+    ``mi_members = sensitive``, which therefore needs a ``labels`` file, or
+    every training line for ``mi_members = all``.
     """
     manifest, config, entry, vocab, params = _load_checkpoint(
         manifest_path, checkpoint_epoch, "run has no completed epochs to attack"
     )
+    if config["mi_members"] == "sensitive" and not config["labels"]:
+        raise ExperimentError(
+            "mi_members = sensitive draws MI members from labelled lines, but the run has "
+            "no labels file; set labels or use mi_members = all"
+        )
     run_dir = Path(manifest_path).parent
     canary_file = run_dir / "canaries.txt"
     if not canary_file.exists():
@@ -472,7 +478,7 @@ def run_attacks(
         attacks_mod.dump_perplexity_table(dump_table, candidates, ppls, planted_index)
 
     train_corpus, test_corpus, _, _ = prepare_data(config)
-    if config["mi_members"] == "sensitive" and train_corpus.labels is not None:
+    if config["mi_members"] == "sensitive":
         member_pool = [
             s for s, lab in zip(train_corpus.sequences, train_corpus.labels) if lab
         ]

@@ -91,6 +91,86 @@ class TestRank:
         assert rank_from_perplexities(candidate_perplexities(params, candidates), planted) == 1
 
 
+@st.composite
+def canary_spaces(draw):
+    """A hypothesis-drawn template's candidates and an untrained model over them."""
+    slot_count = draw(st.integers(0, 3))
+    alphabet = draw(st.lists(st.sampled_from("0123456789abcdef"), min_size=1, max_size=9,
+                             unique=True))
+    word = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+    # A fill-less candidate is the prefix alone, so it needs two words to be scorable.
+    words = draw(st.lists(word, min_size=1 if slot_count else 2, max_size=5))
+    vocab = Vocabulary()
+    candidates = enumerate_canaries(CanaryTemplate(" ".join(words) + " ", "".join(alphabet),
+                                                   slot_count), vocab)
+    d = draw(st.integers(1, 8))
+    params = lm.init_params(vocab.size, d, d, seed=draw(st.integers(0, 2**16)))
+    return params, candidates
+
+
+class TestCandidatePerplexities:
+    """The shared-prefix scorer against the batched oracle, lm.sequence_perplexities."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(canary_spaces())
+    def test_matches_batched_scoring(self, space):
+        params, candidates = space
+        got = candidate_perplexities(params, candidates)
+        oracle = lm.sequence_perplexities(params, candidates)
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(canary_spaces())
+    def test_ranks_agree_where_perplexities_are_resolved(self, space):
+        params, candidates = space
+        got = candidate_perplexities(params, candidates)
+        oracle = lm.sequence_perplexities(params, candidates)
+        order = np.sort(oracle)
+        gaps = np.diff(order) / order[1:]
+        # A candidate's rank is pinned when both its sorted neighbours are > 1e-12 away.
+        isolated = np.concatenate([[np.inf], gaps]) > 1e-12
+        isolated &= np.concatenate([gaps, [np.inf]]) > 1e-12
+        for i in range(len(candidates)):
+            pos = int(np.searchsorted(order, oracle[i]))
+            if isolated[pos]:
+                assert rank_from_perplexities(got, i) == rank_from_perplexities(oracle, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(canary_spaces(), st.randoms(use_true_random=False))
+    def test_permuting_candidates_permutes_output_bitwise(self, space, rnd):
+        params, candidates = space
+        perm = list(range(len(candidates)))
+        rnd.shuffle(perm)
+        base = candidate_perplexities(params, candidates)
+        permuted = candidate_perplexities(params, [candidates[i] for i in perm])
+        assert np.array_equal(permuted, base[perm])
+
+    @settings(max_examples=40, deadline=None)
+    @given(canary_spaces(), st.data())
+    def test_candidates_without_a_shared_prefix_rejected(self, space, data):
+        params, candidates = space
+        k = data.draw(st.integers(0, len(candidates) - 1))
+        ids = candidates[k].ids
+        t = data.draw(st.integers(0, len(ids) - 2))
+        changed = ids[:t] + ((ids[t] + 1) % params.vocab_size,) + ids[t + 1 :]
+        longer = ids[:-1] + ids[-2:]  # one more prefix token
+        for odd in (changed, longer):
+            bad = list(candidates)
+            bad[k] = TokenSequence(odd, "odd")
+            if len(bad) == 1:
+                bad.append(candidates[0])
+            with pytest.raises(AttackError, match="share"):
+                candidate_perplexities(params, bad)
+
+    def test_fill_id_out_of_range_rejected(self):
+        vocab = Vocabulary()
+        candidates = enumerate_canaries(CanaryTemplate("code ", "12", 1), vocab)
+        params = lm.init_params(vocab.size, 3, 3, seed=0)
+        bad = candidates + [TokenSequence(candidates[0].ids[:-1] + (vocab.size,), "x")]
+        with pytest.raises(AttackError, match="out of range"):
+            candidate_perplexities(params, bad)
+
+
 class TestExposure:
     def test_rank_one_of_729(self):
         assert exposure(1, 729) == pytest.approx(math.log2(729), abs=1e-9)

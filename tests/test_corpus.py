@@ -200,6 +200,14 @@ class TestCanaryTemplate:
                 CanaryTemplate("my code is ", alphabet, 1)
         assert CanaryTemplate("my code is ", "0123456789abc-_", 1).candidate_space_size == 15
 
+    def test_rejects_prefix_that_would_swallow_the_fill(self):
+        # "secret code" + "12" tokenizes to "code12": every fill would be one <unk>.
+        with pytest.raises(CorpusError, match="whitespace"):
+            CanaryTemplate("secret code", "12", 2)
+        assert CanaryTemplate("secret code\t", "12", 2).candidate_space_size == 4
+        assert CanaryTemplate("", "12", 2).candidate_space_size == 4
+        assert CanaryTemplate("just the prefix", "12", 0).candidate_space_size == 1
+
 
 class TestPlantCanary:
     def make(self, n=20):

@@ -184,6 +184,14 @@ class TestTrainRun:
         with pytest.raises(ExperimentError, match="no checkpoint"):
             run_attacks(run_dir / "manifest.json", checkpoint_epoch=99)
 
+    def test_sensitive_members_without_labels_rejected(self, data_dir, tmp_path):
+        cfg = write_train_config(tmp_path / "run.cfg", data_dir, tmp_path / "run",
+                                 labels="", epochs=1)
+        train(ExperimentConfig.from_file(cfg))
+        with pytest.raises(ExperimentError, match="mi_members = sensitive.*labels"):
+            run_attacks(tmp_path / "run" / "manifest.json")
+        assert not (tmp_path / "run" / "attacks.csv").exists()
+
     def test_audit_context_from_manifest(self, nodp_run):
         run_dir, _ = nodp_run
         audit = audit_manifest_context(
