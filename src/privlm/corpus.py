@@ -66,7 +66,7 @@ class Vocabulary:
 
     def add(self, token: str) -> int:
         """Add a token if absent; return its id."""
-        if not token or any(ch.isspace() for ch in token):
+        if token.split() != [token]:  # empty or containing whitespace
             raise CorpusError(f"invalid vocabulary token: {token!r}")
         tid = self._token_to_id.get(token)
         if tid is None:
@@ -370,10 +370,19 @@ def enumerate_canaries(
 
     Candidates are encoded under ``vocabulary``; tokens the vocabulary does
     not already contain are appended. Exactly ``candidate_space_size``
-    sequences are returned.
+    sequences are returned. The prefix is encoded once: ``CanaryTemplate``
+    guarantees that a fill is its own token, so each candidate is the prefix
+    ids plus the fill's id, as ``TokenSequence.from_text`` would encode it.
     """
     extend_vocabulary_for_template(vocabulary, template, cap)
-    return [TokenSequence.from_text(template.sentence(fill), vocabulary) for fill in template.fills()]
+    prefix_ids = tuple(vocabulary.encode_tokens(tokenize(template.prefix)))
+    return [
+        TokenSequence(
+            ids=prefix_ids + (vocabulary.id_of(fill),) if fill else prefix_ids,
+            source_text=template.sentence(fill),
+        )
+        for fill in template.fills()
+    ]
 
 
 def minibatches(

@@ -7,6 +7,21 @@ another with the same meaning and the same word count, standing in for
 heavier semantic-invariant transforms. Everything is deterministic given the
 configured seeds, including the hashing (crc32, not Python's salted hash).
 
+The feature contract of ``featurize(texts, char_dim, word_dim)``: row i
+counts, for ``t = texts[i]``,
+
+- the character 3-5-grams of ``" " + t.lower() + " "``, each in column
+  ``crc32(b"c|" + gram.encode("utf-8")) % char_dim``;
+- the word 1-2-grams of ``t.lower().split()`` (a bigram is its two words
+  joined by one space), each in column
+  ``char_dim + crc32(b"w|" + gram.encode("utf-8")) % word_dim``;
+
+and is then divided by its L2 norm. The kernel is vectorised over all texts
+at once: one table-driven CRC-32 sweep computes every character gram's
+bucket, each distinct word gram is hashed once, and one ``np.unique`` counts
+(row, column) pairs in CSR order. ``tests/oracles.featurize_by_loop`` is the
+same contract written gram by gram.
+
 The context audit asks, for a target token in a sequence: what is the
 shortest suffix of its preceding text whose paraphrase still predicts the
 target almost as well as the full prefix does? Short answers mean the secret
@@ -32,7 +47,6 @@ from .lm import LMParameters
 
 DETECTOR_MAGIC = "DETECTOR1"
 CHAR_NGRAM_RANGE = (3, 5)
-WORD_NGRAM_RANGE = (1, 2)
 L2_PENALTY = 1e-4  # ridge weight of the detector's logistic loss
 
 
@@ -112,43 +126,107 @@ def paraphrase(text: str, cfg: AugmentationConfig, variant_index: int = 0) -> st
     return " ".join(out)
 
 
-def _hash_bucket(kind: bytes, gram: str, dim: int) -> int:
-    return zlib.crc32(kind + gram.encode("utf-8")) % dim
+def _check_dims(char_dim: int, word_dim: int, where: str = "") -> None:
+    for name, dim in (("char_dim", char_dim), ("word_dim", word_dim)):
+        if dim < 1:
+            raise DetectorError(f"{where}{name} must be >= 1, got {dim}")
 
 
-def _feature_entries(text: str, char_dim: int, word_dim: int) -> dict[int, float]:
-    """Hashed n-gram counts: char buckets in [0, char_dim), word buckets after."""
-    entries: dict[int, float] = {}
-    lowered = " " + text.lower() + " "
-    for n in range(CHAR_NGRAM_RANGE[0], CHAR_NGRAM_RANGE[1] + 1):
-        for i in range(len(lowered) - n + 1):
-            idx = _hash_bucket(b"c|", lowered[i : i + n], char_dim)
-            entries[idx] = entries.get(idx, 0.0) + 1.0
-    words = text.lower().split()
-    for n in range(WORD_NGRAM_RANGE[0], WORD_NGRAM_RANGE[1] + 1):
-        for i in range(len(words) - n + 1):
-            gram = " ".join(words[i : i + n])
-            idx = char_dim + _hash_bucket(b"w|", gram, word_dim)
-            entries[idx] = entries.get(idx, 0.0) + 1.0
-    return entries
+def _crc32_table() -> np.ndarray:
+    """Byte table of the reflected CRC-32 polynomial that ``zlib.crc32`` uses."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC_TABLE = _crc32_table()
+# CRC-32 register after the b"c|" prefix; zlib.crc32 returns the register inverted.
+_CHAR_REGISTER = np.uint32(zlib.crc32(b"c|") ^ 0xFFFFFFFF)
+
+
+def _char_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and ``crc32(b"c|" + UTF-8)`` of every character n-gram, in one sweep.
+
+    Every start position of the joined padded texts carries a CRC register.
+    Step k feeds each register the UTF-8 bytes of the character k places on,
+    so the register of an (n+1)-gram extends that of its n-gram; a gram
+    counts once it reaches its length and still ends inside its own text.
+    """
+    padded = [" " + text.lower() + " " for text in texts]
+    joined = "".join(padded)
+    points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
+    utf8 = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
+    lengths = np.fromiter(map(len, padded), dtype=np.intp, count=len(padded))
+    rows = np.repeat(np.arange(len(padded), dtype=np.uint32), lengths)
+    # Characters from each start position to the end of its text.
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(points.size)
+
+    lead, tails = utf8, []
+    if utf8.size > points.size:  # some character takes more than one byte
+        nbytes = 1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000)
+        offsets = np.cumsum(nbytes) - nbytes
+        lead = utf8[offsets]
+        for m in range(1, int(nbytes.max())):
+            at = np.flatnonzero(nbytes > m)
+            tails.append((at, utf8[offsets[at] + m]))
+
+    register = np.full(points.size, _CHAR_REGISTER, dtype=np.uint32)
+    out_rows, out_crcs = [], []
+    for k in range(CHAR_NGRAM_RANGE[1]):
+        reg = register[: max(points.size - k, 0)]  # starts whose k-th character exists
+        reg[:] = _CRC_TABLE[(reg ^ lead[k : k + reg.size]) & 0xFF] ^ (reg >> 8)
+        for at, byte in tails:
+            keep = at >= k
+            start = at[keep] - k
+            r = reg[start]
+            reg[start] = _CRC_TABLE[(r ^ byte[keep]) & 0xFF] ^ (r >> 8)
+        if k + 1 >= CHAR_NGRAM_RANGE[0]:
+            fits = room[: reg.size] >= k + 1
+            out_rows.append(rows[: reg.size][fits])
+            out_crcs.append(~reg[fits])
+    return np.concatenate(out_rows), np.concatenate(out_crcs)
+
+
+def _word_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and ``crc32(b"w|" + UTF-8)`` of every word 1- and 2-gram; each distinct gram hashed once."""
+    grams: list[str] = []
+    per_row = []
+    for text in texts:
+        words = text.lower().split()
+        bigrams = [a + " " + b for a, b in zip(words, words[1:])]
+        grams += words
+        grams += bigrams
+        per_row.append(len(words) + len(bigrams))
+    crc = {gram: zlib.crc32(b"w|" + gram.encode("utf-8")) for gram in set(grams)}
+    crcs = np.fromiter(map(crc.__getitem__, grams), dtype=np.uint32, count=len(grams))
+    return np.repeat(np.arange(len(texts), dtype=np.uint32), per_row), crcs
 
 
 def featurize(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matrix:
-    """L2-normalized hashed n-gram count matrix, one row per text."""
-    data, indices, indptr = [], [], [0]
-    for text in texts:
-        entries = _feature_entries(text, char_dim, word_dim)
-        keys = sorted(entries)
-        vals = np.array([entries[k] for k in keys])
-        norm = np.linalg.norm(vals)
-        if norm > 0:
-            vals = vals / norm
-        indices.extend(keys)
-        data.extend(vals.tolist())
-        indptr.append(len(indices))
+    """L2-normalized hashed n-gram count matrix, one row per text (contract in the module docstring)."""
+    _check_dims(char_dim, word_dim)
+    width = char_dim + word_dim
+    # uint32 keys halve the sort's memory; uint64 only where row * width overflows them.
+    key_type = np.uint32 if max(len(texts), 1) * width < 2**32 else np.uint64
+    char_rows, char_crcs = _char_gram_crcs(texts)
+    word_rows, word_crcs = _word_gram_crcs(texts)
+    # key = row * width + column, so sorted keys are CSR order with sorted indices.
+    keys = np.concatenate([
+        char_rows.astype(key_type) * width + char_crcs.astype(key_type) % char_dim,
+        word_rows.astype(key_type) * width + (char_dim + word_crcs.astype(key_type) % word_dim),
+    ])
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, cols = np.divmod(keys, width)
+    rows = rows.astype(np.intp)
+    counts = counts.astype(np.float64)
+    # Integer counts: the squared sums are exact in any order, as in np.linalg.norm.
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=len(texts)))
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(texts)), out=indptr[1:])
     return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(texts), char_dim + word_dim),
+        (counts / norms[rows], cols.astype(np.int64), indptr),
+        shape=(len(texts), width),
     )
 
 
@@ -199,6 +277,7 @@ class DetectorModel:
                 kv[key] = kind(kv[key])
             except ValueError:
                 raise DetectorError(f"{path}: detector {key}={kv[key]!r} is not a number") from None
+        _check_dims(kv["char_dim"], kv["word_dim"], f"{path}: detector ")
         vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
         if vec.size != kv["char_dim"] + kv["word_dim"] + 1:
             raise DetectorError(f"{path}: weight vector has wrong size")

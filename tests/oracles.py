@@ -3,15 +3,17 @@
 Each is deliberately written from the definition, not from the package's
 code path: finite differences for gradients, one-sequence backward passes
 for batched gradient norms and sums, quadrature for the Renyi divergence,
-brute-force sorting and recounting for ranks and attack accuracies.
+brute-force sorting and recounting for ranks and attack accuracies, and a
+per-gram ``zlib.crc32`` loop for the detector's hashed features.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 
 from privlm import lm
 from privlm.corpus import TokenSequence
@@ -88,3 +90,39 @@ def per_example_rows(params: LMParameters, seqs: list[TokenSequence]) -> np.ndar
     rows are an independent reference for batched norms and weighted sums.
     """
     return np.stack([lm.per_example_gradient(params, seq)[1] for seq in seqs])
+
+
+def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matrix:
+    """Hashed n-gram features, one ``zlib.crc32`` call per gram and one dict per text.
+
+    Character 3-5-grams of ``" " + lower + " "`` go to ``crc32(b"c|" + utf8) %
+    char_dim``, word 1-2-grams of ``lower.split()`` to ``char_dim +
+    crc32(b"w|" + utf8) % word_dim``; each row's counts are sorted by column
+    and divided by their ``np.linalg.norm``.
+    """
+    data, indices, indptr = [], [], [0]
+    for text in texts:
+        entries: dict[int, float] = {}
+        lowered = " " + text.lower() + " "
+        for n in range(3, 6):
+            for i in range(len(lowered) - n + 1):
+                idx = zlib.crc32(b"c|" + lowered[i : i + n].encode("utf-8")) % char_dim
+                entries[idx] = entries.get(idx, 0.0) + 1.0
+        words = text.lower().split()
+        for n in range(1, 3):
+            for i in range(len(words) - n + 1):
+                gram = " ".join(words[i : i + n])
+                idx = char_dim + zlib.crc32(b"w|" + gram.encode("utf-8")) % word_dim
+                entries[idx] = entries.get(idx, 0.0) + 1.0
+        keys = sorted(entries)
+        vals = np.array([entries[k] for k in keys])
+        norm = np.linalg.norm(vals)
+        if norm > 0:
+            vals = vals / norm
+        indices.extend(keys)
+        data.extend(vals.tolist())
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(texts), char_dim + word_dim),
+    )

@@ -9,6 +9,7 @@ from privlm.corpus import (
     TokenSequence,
     Vocabulary,
     enumerate_canaries,
+    extend_vocabulary_for_template,
     load_corpus,
     minibatches,
     plant_canary,
@@ -134,6 +135,16 @@ class TestVocabulary:
         vocab = Vocabulary(["a", "b"])
         ids = vocab.encode_tokens("a b z q a".split())
         assert all(0 <= i < vocab.size for i in ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=6), st.sampled_from(["", "a b", "a\tb", "\u3000", "x\x1c", "\u2028y"])))
+    def test_add_rejects_exactly_empty_or_whitespace_tokens(self, token):
+        vocab = Vocabulary()
+        if not token or any(ch.isspace() for ch in token):
+            with pytest.raises(CorpusError, match="invalid vocabulary token"):
+                vocab.add(token)
+        else:
+            assert vocab.token_of(vocab.add(token)) == token
 
 
 class TestSplit:
@@ -300,6 +311,31 @@ class TestEnumerateCanaries:
         template = CanaryTemplate("x ", "0123456789", 6)
         with pytest.raises(CorpusError, match="cap"):
             enumerate_canaries(template, vocab, cap=10_000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        words=st.lists(st.text("aZé東\u0130\u03a3\u03c2😀-", min_size=1, max_size=4), max_size=4),
+        gaps=st.lists(st.sampled_from([" ", "\t", "\u3000", "  "]), min_size=5, max_size=5),
+        alphabet=st.sets(st.sampled_from("0123456789azé\u03c3\u03c2中-"), min_size=1, max_size=4),
+        slot_count=st.integers(0, 2),
+        known=st.lists(st.sampled_from(["a", "z", "1", "é", "東", "other"]), max_size=4),
+    )
+    def test_equals_encoding_each_sentence(self, words, gaps, alphabet, slot_count, known):
+        # The shared-prefix encoding must equal TokenSequence.from_text on
+        # every candidate sentence, including prefixes whose lowercase
+        # changes length (U+0130) or context (final sigma).
+        if slot_count == 0 and not words:
+            words = ["a"]
+        prefix = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:] * 2))
+        template = CanaryTemplate(prefix, "".join(sorted(alphabet)), slot_count)
+        vocab, reference = Vocabulary(known), Vocabulary(known)
+        candidates = enumerate_canaries(template, vocab)
+        extend_vocabulary_for_template(reference, template)
+        expected = [TokenSequence.from_text(template.sentence(f), reference) for f in template.fills()]
+        assert candidates == expected
+        assert [vocab.token_of(i) for i in range(vocab.size)] == [
+            reference.token_of(i) for i in range(reference.size)
+        ]
 
 
 class TestMinibatches:

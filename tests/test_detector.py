@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import featurize_by_loop
 from privlm import lm, privacy
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
@@ -14,6 +17,7 @@ from privlm.detector import (
     constant_detector,
     default_synonyms,
     estimate_gamma,
+    featurize,
     identity_augmentation,
     load_synonyms,
     paraphrase,
@@ -96,6 +100,50 @@ class TestParaphrase:
         bad.write_text("word: two words\n", encoding="utf-8")
         with pytest.raises(DetectorError, match="single"):
             load_synonyms(bad)
+
+
+# 1-, 2-, 3- and 4-byte UTF-8, whitespace of several kinds, and U+0130 (whose
+# lowercase is two characters) and capital sigma (whose lowercase depends on
+# context).
+FEATURE_ALPHABET = "abz AZ09\t\n\u3000\u00e9\u00df\u6771\u4eac\U0001f600\u0130\u03a3-"
+ANY_TEXT = st.one_of(
+    st.text(FEATURE_ALPHABET, max_size=14),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=8),
+)
+
+
+class TestFeaturize:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(ANY_TEXT, max_size=6),
+        char_dim=st.one_of(st.integers(1, 40), st.sampled_from([1000, 4096])),
+        word_dim=st.one_of(st.integers(1, 40), st.sampled_from([777, 2048])),
+    )
+    @example(
+        texts=["", " ", "\t\u3000", "ab", "\u0130\u0130", "caf\u00e9 \u6771\u4eac \U0001f600!", "a"],
+        char_dim=1, word_dim=1,
+    )
+    @example(texts=["my bank security code is 450", "\u0130 \u03a3\u03a3 x"], char_dim=4096, word_dim=2048)
+    def test_equals_per_gram_loop(self, texts, char_dim, word_dim):
+        got = featurize(texts, char_dim, word_dim)
+        want = featurize_by_loop(texts, char_dim, word_dim)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+    def test_unencodable_text_still_raises(self):
+        for fn in (featurize, featurize_by_loop):
+            with pytest.raises(UnicodeEncodeError):
+                fn(["fine", "lone \ud800 surrogate"], 16, 8)
+
+    @pytest.mark.parametrize(
+        "char_dim, word_dim, field",
+        [(0, 8, "char_dim"), (-3, 8, "char_dim"), (8, 0, "word_dim"), (8, -3, "word_dim")],
+    )
+    def test_dimension_below_one_rejected(self, char_dim, word_dim, field):
+        with pytest.raises(DetectorError, match=f"{field} must be >= 1"):
+            featurize(["hello world"], char_dim, word_dim)
 
 
 class TestDetectorDataset:
@@ -212,6 +260,21 @@ class TestClassify:
         path = tmp_path / "det.bin"
         path.write_bytes(header + b"\n")
         with pytest.raises(DetectorError, match=rf"det\.bin: .*{field} is not a number"):
+            DetectorModel.load(path)
+
+    @pytest.mark.parametrize(
+        "char_dim, word_dim, field",
+        [(0, 4, "char_dim"), (-3, 8, "char_dim"), (4, 0, "word_dim"), (8, -3, "word_dim")],
+    )
+    def test_load_rejects_dimension_below_one(self, tmp_path, char_dim, word_dim, field):
+        # The weight vector has the size the header implies, so only the
+        # dimension check can reject the file.
+        path = tmp_path / "det.bin"
+        DetectorModel(
+            char_dim=char_dim, word_dim=word_dim, weights=np.zeros(char_dim + word_dim),
+            bias=0.0, threshold=0.5, measured_gamma=1.0,
+        ).save(path)
+        with pytest.raises(DetectorError, match=rf"det\.bin: detector {field} must be >= 1"):
             DetectorModel.load(path)
 
 

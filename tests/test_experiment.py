@@ -7,7 +7,7 @@ import pytest
 
 from privlm import privacy, synth
 from privlm.cli import main as cli_main
-from privlm.detector import constant_detector
+from privlm.detector import DetectorError, constant_detector
 from privlm.experiment import (
     DETECTOR_SCHEMA,
     TRAIN_SCHEMA,
@@ -329,6 +329,22 @@ class TestDetectorTraining:
         assert out.exists()
         assert info["measured_gamma"] >= 0.9
         assert info["n_positive"] > 0 and info["n_negative"] > 0
+
+    @pytest.mark.parametrize(
+        "char_dim, word_dim, field",
+        [(0, 512, "char_dim"), (-3, 512, "char_dim"), (1024, 0, "word_dim"), (1024, -3, "word_dim")],
+    )
+    def test_dimension_below_one_rejected(self, data_dir, tmp_path, char_dim, word_dim, field):
+        out = tmp_path / "det.bin"
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(
+            f"seeds = {data_dir['seeds']}\nnegatives = {data_dir['negatives']}\n"
+            f"epochs = 5\nchar_dim = {char_dim}\nword_dim = {word_dim}\nout = {out}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DetectorError, match=f"{field} must be >= 1"):
+            train_detector_from_config(cfg)
+        assert not out.exists()
 
 
 class TestReport:
