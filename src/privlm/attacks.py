@@ -10,11 +10,13 @@ The fills of a template share every token but the last, so the candidates
 are scored from one forward pass of the shared prefix plus a gather over the
 fill row, log p(. | prefix): T one-row LSTM steps instead of a batched pass
 over every candidate. Every candidate reads the same prefix terms and the
-same fill row, so a candidate's rank no longer depends on its batch row.
+same fill row, so a candidate's rank does not depend on its position in the
+candidate list.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,19 +117,13 @@ def membership_inference(
     n = len(members)
     if n < 1 or len(non_members) != n:
         raise AttackError("the attack is balanced: need equally many members and non-members")
-    pool: list[TokenSequence] = []
-    truth: list[bool] = []
-    for m, nm in zip(members, non_members):
-        pool.append(m)
-        truth.append(True)
-        pool.append(nm)
-        truth.append(False)
+    pool = [s for pair in zip(members, non_members) for s in pair]
+    truth = np.tile([True, False], n)
     ppl = lm.sequence_perplexities(params, pool)
     order = np.argsort(ppl, kind="stable")
     predicted_member = np.zeros(2 * n, dtype=bool)
     predicted_member[order[:n]] = True
-    correct = sum(1 for pred, act in zip(predicted_member, truth) if pred == act)
-    return correct / (2 * n)
+    return int((predicted_member == truth).sum()) / (2 * n)
 
 
 def build_mi_dataset(
@@ -144,21 +140,13 @@ def build_mi_dataset(
     if n < 1:
         raise AttackError("n must be >= 1")
 
-    def unique_by_text(seqs: list[TokenSequence]) -> list[TokenSequence]:
-        seen: set[str] = set()
-        out = []
-        for s in seqs:
-            if s.source_text not in seen:
-                seen.add(s.source_text)
-                out.append(s)
-        return out
+    def unique_by_text(seqs: Corpus | list[TokenSequence]) -> list[TokenSequence]:
+        first: dict[str, TokenSequence] = {}
+        for s in seqs.sequences if isinstance(seqs, Corpus) else seqs:
+            first.setdefault(s.source_text, s)
+        return list(first.values())
 
-    train_pool = unique_by_text(
-        train_corpus.sequences if isinstance(train_corpus, Corpus) else list(train_corpus)
-    )
-    test_pool = unique_by_text(
-        test_corpus.sequences if isinstance(test_corpus, Corpus) else list(test_corpus)
-    )
+    train_pool, test_pool = unique_by_text(train_corpus), unique_by_text(test_corpus)
     if len(train_pool) < n:
         raise AttackError(f"need {n} distinct member texts, have {len(train_pool)}")
 
@@ -179,7 +167,10 @@ def dump_perplexity_table(
     planted_index: int,
 ) -> None:
     """Full per-candidate perplexity table as CSV, for offline analysis."""
-    lines = ["index,candidate,perplexity,planted"]
-    for i, (cand, ppl) in enumerate(zip(candidates, perplexities)):
-        lines.append(f"{i},{cand.source_text},{float(ppl)!r},{int(i == planted_index)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["index", "candidate", "perplexity", "planted"])
+        writer.writerows(
+            (i, cand.source_text, repr(float(ppl)), int(i == planted_index))
+            for i, (cand, ppl) in enumerate(zip(candidates, perplexities))
+        )

@@ -332,17 +332,22 @@ def plant_canary(
     of the planted copies. The vocabulary is extended with the prefix tokens
     and the full fill space, also when ``count`` is 0, so that a control run
     without planted copies can still score every candidate fill. Planted
-    sequences are labeled sensitive when the corpus carries labels.
+    sequences are labeled sensitive when the corpus carries labels. A canary
+    of more than ``max_len`` tokens is rejected, since truncating it could cut
+    off the secret the attacks rank.
     """
     if count < 0:
         raise CorpusError("count must be >= 0")
     sentence = template.sentence(fill)
+    n_tokens = len(tokenize(sentence))
+    if n_tokens > max_len:
+        raise CorpusError(f"canary {sentence!r} has {n_tokens} tokens, more than max_len {max_len}")
     extend_vocabulary_for_template(corpus.vocabulary, template)
     if count == 0:
         labels = list(corpus.labels) if corpus.labels is not None else None
         return Corpus(list(corpus.sequences), corpus.vocabulary, labels), []
 
-    canary = TokenSequence.from_text(sentence, corpus.vocabulary, max_len=max_len)
+    canary = TokenSequence.from_text(sentence, corpus.vocabulary)
     if len(canary) < 2:
         raise CorpusError("instantiated canary must have at least two tokens")
 
@@ -418,25 +423,3 @@ def write_canary_manifest(
         "positions=" + ",".join(str(p) for p in positions),
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_canary_manifest(path: str | Path) -> tuple[CanaryTemplate, str, int, list[int]]:
-    """Inverse of :func:`write_canary_manifest`."""
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        fields[key] = value
-    try:
-        template = CanaryTemplate(
-            prefix=fields["prefix"],
-            slot_alphabet=fields["slot_alphabet"],
-            slot_count=int(fields["slot_count"]),
-        )
-        fill = fields["fill"]
-        count = int(fields["count"])
-        positions = [int(p) for p in fields["positions"].split(",") if p]
-    except KeyError as exc:
-        raise CorpusError(f"canary manifest {path} is missing field {exc}") from exc
-    return template, fill, count, positions

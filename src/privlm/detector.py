@@ -331,27 +331,16 @@ def build_detector_dataset(
     if not sensitive_seeds or not neg_texts:
         raise DetectorError("both classes must be non-empty")
 
-    positives: list[str] = []
-    seen: set[str] = set()
-    for seed_text in sensitive_seeds:
-        for candidate in [seed_text] + [
-            paraphrase(seed_text, cfg, k) for k in range(cfg.passes)
-        ]:
-            if candidate not in seen:
-                seen.add(candidate)
-                positives.append(candidate)
-
-    negatives_kept: list[str] = []
-    seen_neg: set[str] = set()
-    for text in neg_texts:
-        if text in seen or text in seen_neg:
-            continue
-        seen_neg.add(text)
-        negatives_kept.append(text)
+    positives = dict.fromkeys(
+        text
+        for seed_text in sensitive_seeds
+        for text in [seed_text, *(paraphrase(seed_text, cfg, k) for k in range(cfg.passes))]
+    )
+    negatives_kept = [text for text in dict.fromkeys(neg_texts) if text not in positives]
     if not negatives_kept:
         raise DetectorError("no negatives left after removing overlap with positives")
 
-    texts = positives + negatives_kept
+    texts = [*positives, *negatives_kept]
     labels = np.array([True] * len(positives) + [False] * len(negatives_kept))
     return DetectorDataset(texts, labels, len(positives), len(negatives_kept))
 
@@ -422,27 +411,20 @@ def _select_threshold(scores: np.ndarray, y: np.ndarray, fpr_cap: float) -> tupl
     positives weaken the privacy floor (delta > 1 - gamma) while false
     positives only cost utility, hence the low-threshold preference.
     """
-    n_pos = int(y.sum())
-    n_neg = int((~y).sum())
-    uniq = sorted(set(scores.tolist()))
-    candidates = [uniq[0]]
-    candidates += [(a + b) / 2.0 for a, b in zip(uniq, uniq[1:])]
-    candidates.append(uniq[-1] + 1.0)
+    uniq = np.unique(scores)
+    candidates = np.concatenate([uniq[:1], (uniq[:-1] + uniq[1:]) / 2.0, uniq[-1:] + 1.0])
 
-    def rates(t):
-        flagged = scores >= t
-        return (
-            float((flagged & y).sum()) / n_pos,
-            float((flagged & ~y).sum()) / n_neg,
-        )
+    def rate(s: np.ndarray) -> np.ndarray:
+        # Share of s at or above each candidate, counted by binary search.
+        return (len(s) - np.searchsorted(np.sort(s), candidates, side="left")) / len(s)
 
-    feasible = [(t, *rates(t)) for t in candidates]
-    feasible = [(t, tpr) for t, tpr, fpr in feasible if fpr <= fpr_cap]
-    best_tpr = max(tpr for _, tpr in feasible)
-    band = [t for t, tpr in feasible if tpr == best_tpr]
+    tpr, fpr = rate(scores[y]), rate(scores[~y])
+    feasible = fpr <= fpr_cap
+    best_tpr = tpr[feasible].max()
+    band = candidates[feasible & (tpr == best_tpr)]
     # Max-margin: center the threshold in the band that attains the best TPR,
     # so held-out scores on either side keep distance from the boundary.
-    return (min(band) + max(band)) / 2.0, best_tpr
+    return float((band.min() + band.max()) / 2.0), float(best_tpr)
 
 
 def estimate_gamma(model: DetectorModel, held_out_positives: list[str]) -> float:
@@ -506,23 +488,17 @@ def audit_context(
     probs = lm.conditional_probabilities(params, [prefix_ids] + suffixes, target_id)
     p_ref = float(probs[0])
     gaps = [abs(p_ref - float(p)) for p in probs[1:]]
-    for length, (suffix_ids, gap) in enumerate(zip(suffixes, gaps)):
-        if gap <= alpha:
-            return ContextAudit(
-                found=True,
-                context_ids=tuple(suffix_ids),
-                context_text=vocabulary.decode(suffix_ids) if vocabulary and suffix_ids else "",
-                length=length,
-                gap=gap,
-                reference_probability=p_ref,
-                gaps_by_length=gaps[: length + 1],
-            )
+    # gaps has one entry per suffix length 0..len(prefix_ids); without a
+    # qualifying suffix the result is the full, unparaphrased prefix.
+    within = [length for length, gap in enumerate(gaps) if gap <= alpha]
+    length = within[0] if within else len(prefix_ids)
+    context_ids = suffixes[length] if within else prefix_ids
     return ContextAudit(
-        found=False,
-        context_ids=tuple(prefix_ids),
-        context_text=vocabulary.decode(prefix_ids) if vocabulary and prefix_ids else "",
-        length=len(prefix_ids),
-        gap=gaps[-1] if gaps else 0.0,
+        found=bool(within),
+        context_ids=tuple(context_ids),
+        context_text=vocabulary.decode(context_ids) if vocabulary and context_ids else "",
+        length=length,
+        gap=gaps[length],
         reference_probability=p_ref,
-        gaps_by_length=gaps,
+        gaps_by_length=gaps[: length + 1],
     )

@@ -13,9 +13,10 @@ Four regimes are supported:
 
 A run writes into its output directory: ``manifest.json`` (resolved config,
 per-epoch validation perplexity, privacy audit, checkpoint paths, all
-byte-reproducible), ``vocab.txt``, ``canaries.txt``, per-epoch checkpoints,
-and ``timing.txt``. Wall-clock lives in the timing sidecar only, so the
-manifest itself is identical across reruns of the same config.
+byte-reproducible), ``vocab.txt``, ``canaries.txt`` (a human-readable
+planting record; attacks rebuild the canary from the config), per-epoch
+checkpoints, and ``timing.txt``. Wall-clock lives in the timing sidecar only,
+so the manifest itself is identical across reruns of the same config.
 
 Config files are flat ``key = value`` text; unknown keys are rejected. See
 the schemas below for every key and its default.
@@ -45,7 +46,6 @@ from .corpus import (
     load_corpus,
     minibatches,
     plant_canary,
-    read_canary_manifest,
     split_corpus,
     write_canary_manifest,
 )
@@ -198,6 +198,8 @@ class ExperimentConfig:
             raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
             raise ExperimentError("canary planting requires 'canary_fill'")
+        if not v["canary_prefix"] and (v["canary_fill"] or v["canary_count"]):
+            raise ExperimentError("canary_fill and canary_count need a 'canary_prefix'")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -446,10 +448,12 @@ def run_attacks(
     """Canary-exposure and membership-inference attacks on one checkpoint.
 
     Appends the report row to ``attacks.csv`` next to the manifest and
-    returns it. The attacked member pool is rebuilt deterministically from
-    the manifest's config: the sensitive-labeled training lines for
-    ``mi_members = sensitive``, which therefore needs a ``labels`` file, or
-    every training line for ``mi_members = all``.
+    returns it. The canary and the attacked member pool are rebuilt
+    deterministically from the manifest's config: the canary template and
+    planted fill from the ``canary_*`` keys, and the members from the
+    sensitive-labeled training lines for ``mi_members = sensitive``, which
+    therefore needs a ``labels`` file, or every training line for
+    ``mi_members = all``.
     """
     manifest, config, entry, vocab, params = _load_checkpoint(
         manifest_path, checkpoint_epoch, "run has no completed epochs to attack"
@@ -459,31 +463,25 @@ def run_attacks(
             "mi_members = sensitive draws MI members from labelled lines, but the run has "
             "no labels file; set labels or use mi_members = all"
         )
-    run_dir = Path(manifest_path).parent
-    canary_file = run_dir / "canaries.txt"
-    if not canary_file.exists():
-        raise ExperimentError("attacks need the planted-canary record (canaries.txt is missing)")
-    template, fill, _, _ = read_canary_manifest(canary_file)
+    train_corpus, test_corpus, _, planted_index = prepare_data(config)
+    if planted_index is None:
+        raise ExperimentError("attacks need a planted canary; the run's config has no canary_prefix")
+    template = _template_from_config(config)
     candidates = enumerate_canaries(template, vocab)
     if vocab.size != params.vocab_size:
         raise ExperimentError(
             "checkpoint/vocabulary mismatch: enumerating the canary space grew the "
             "vocabulary past the checkpoint's embedding table"
         )
-    planted_index = list(template.fills()).index(fill)
     ppls = attacks_mod.candidate_perplexities(params, candidates)
     rank = attacks_mod.rank_from_perplexities(ppls, planted_index)
     expo = attacks_mod.exposure(rank, template.candidate_space_size)
     if dump_table is not None:
         attacks_mod.dump_perplexity_table(dump_table, candidates, ppls, planted_index)
 
-    train_corpus, test_corpus, _, _ = prepare_data(config)
+    member_pool = train_corpus.sequences
     if config["mi_members"] == "sensitive":
-        member_pool = [
-            s for s, lab in zip(train_corpus.sequences, train_corpus.labels) if lab
-        ]
-    else:
-        member_pool = train_corpus.sequences
+        member_pool = [s for s, lab in zip(member_pool, train_corpus.labels) if lab]
     members, non_members = attacks_mod.build_mi_dataset(
         member_pool, test_corpus, config["mi_n"], seed=_derived_seed(config["seed_data"], "mi")
     )
@@ -499,7 +497,7 @@ def run_attacks(
         candidate_space_size=template.candidate_space_size,
         mi_accuracy=mi_acc,
     )
-    csv_path = run_dir / "attacks.csv"
+    csv_path = Path(manifest_path).parent / "attacks.csv"
     if not csv_path.exists():
         csv_path.write_text(attacks_mod.AttackReport.CSV_HEADER + "\n", encoding="utf-8")
     with csv_path.open("a", encoding="utf-8") as fh:
@@ -535,16 +533,10 @@ def audit_manifest_context(
 def train_detector_from_config(path: str | Path) -> tuple[detector_mod.DetectorModel, dict]:
     """Train and save a detector per a DETECTOR_SCHEMA config file."""
     cfgv = parse_config_file(path, DETECTOR_SCHEMA)
-    seeds = [
-        line.strip()
-        for line in Path(cfgv["seeds"]).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    negatives = [
-        line.strip()
-        for line in Path(cfgv["negatives"]).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    seeds, negatives = (
+        [s for s in map(str.strip, Path(cfgv[key]).read_text(encoding="utf-8").splitlines()) if s]
+        for key in ("seeds", "negatives")
+    )
     table = (
         detector_mod.load_synonyms(cfgv["synonyms"])
         if cfgv["synonyms"]

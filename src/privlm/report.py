@@ -149,11 +149,7 @@ def _read_attack_rows(manifest_path: Path) -> list[dict]:
         return []
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        if line.strip():
-            rows.append(dict(zip(header, line.split(","))))
-    return rows
+    return [dict(zip(header, line.split(","))) for line in lines[1:] if line.strip()]
 
 
 def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[Path]:
@@ -199,45 +195,26 @@ def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[
             )
 
     written = []
-    curves_csv = out_dir / "learning_curves.csv"
-    curves_csv.write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
-    written.append(curves_csv)
-    tradeoff_csv = out_dir / "attack_tradeoff.csv"
-    tradeoff_csv.write_text("\n".join(tradeoff_lines) + "\n", encoding="utf-8")
-    written.append(tradeoff_csv)
 
-    curves_svg = out_dir / "learning_curves.svg"
-    curves_svg.write_text(
+    def emit(name: str, text: str) -> None:
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
+
+    emit("learning_curves.csv", "\n".join(curve_lines) + "\n")
+    emit("attack_tradeoff.csv", "\n".join(tradeoff_lines) + "\n")
+    emit(
+        "learning_curves.svg",
         svg_line_plot(curve_series, "epoch", "validation perplexity", "Learning curves"),
-        encoding="utf-8",
     )
-    written.append(curves_svg)
-
-    if by_regime:
-        exp_series = [
-            (regime, [p[0] for p in pts], [p[1] for p in pts])
+    scatters = [
+        (1, "exposure_vs_perplexity.svg", "canary exposure", "Canary exposure vs utility"),
+        (2, "mi_vs_perplexity.svg", "membership inference accuracy", "Membership inference vs utility"),
+    ]
+    for column, name, ylabel, title in scatters if by_regime else []:
+        series = [
+            (regime, [p[0] for p in pts], [p[column] for p in pts])
             for regime, pts in sorted(by_regime.items())
         ]
-        mi_series = [
-            (regime, [p[0] for p in pts], [p[2] for p in pts])
-            for regime, pts in sorted(by_regime.items())
-        ]
-        exp_svg = out_dir / "exposure_vs_perplexity.svg"
-        exp_svg.write_text(
-            svg_line_plot(
-                exp_series, "validation perplexity", "canary exposure",
-                "Canary exposure vs utility", draw_lines=False,
-            ),
-            encoding="utf-8",
-        )
-        written.append(exp_svg)
-        mi_svg = out_dir / "mi_vs_perplexity.svg"
-        mi_svg.write_text(
-            svg_line_plot(
-                mi_series, "validation perplexity", "membership inference accuracy",
-                "Membership inference vs utility", draw_lines=False,
-            ),
-            encoding="utf-8",
-        )
-        written.append(mi_svg)
+        emit(name, svg_line_plot(series, "validation perplexity", ylabel, title, draw_lines=False))
     return written

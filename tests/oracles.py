@@ -3,8 +3,9 @@
 Each is deliberately written from the definition, not from the package's
 code path: finite differences for gradients, one-sequence backward passes
 for batched gradient norms and sums, quadrature for the Renyi divergence,
-brute-force sorting and recounting for ranks and attack accuracies, and a
-per-gram ``zlib.crc32`` loop for the detector's hashed features.
+brute-force sorting and recounting for ranks and attack accuracies, a
+per-gram ``zlib.crc32`` loop for the detector's hashed features, and a
+candidate-by-candidate recount for the detector's threshold.
 """
 
 from __future__ import annotations
@@ -126,3 +127,34 @@ def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> sparse.
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(texts), char_dim + word_dim),
     )
+
+
+def select_threshold_by_scan(
+    scores: np.ndarray, y: np.ndarray, fpr_cap: float
+) -> tuple[float, float]:
+    """Highest-TPR threshold with FPR <= cap, recounting every candidate.
+
+    Candidates are the lowest score, each midpoint between adjacent distinct
+    scores and the highest score plus 1; each is scored by counting both
+    classes at or above it. The returned threshold is the center of the
+    candidates that attain the best feasible TPR.
+    """
+    n_pos = int(y.sum())
+    n_neg = int((~y).sum())
+    uniq = sorted(set(scores.tolist()))
+    candidates = [uniq[0]]
+    candidates += [(a + b) / 2.0 for a, b in zip(uniq, uniq[1:])]
+    candidates.append(uniq[-1] + 1.0)
+
+    def rates(t):
+        flagged = scores >= t
+        return (
+            float((flagged & y).sum()) / n_pos,
+            float((flagged & ~y).sum()) / n_neg,
+        )
+
+    feasible = [(t, *rates(t)) for t in candidates]
+    feasible = [(t, tpr) for t, tpr, fpr in feasible if fpr <= fpr_cap]
+    best_tpr = max(tpr for _, tpr in feasible)
+    band = [t for t, tpr in feasible if tpr == best_tpr]
+    return (min(band) + max(band)) / 2.0, best_tpr

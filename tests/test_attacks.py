@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -293,6 +294,13 @@ class TestBuildMiDataset:
         members, _ = build_mi_dataset(train, test, 2, seed=3)
         assert sorted(m.source_text for m in members) == ["dup x", "other y"]
 
+    def test_first_sequence_of_each_text_kept(self):
+        first = TokenSequence((1, 2), "dup x")
+        later = TokenSequence((1, 3), "dup x")
+        test = [TokenSequence((3, 2), "y x")]
+        members, _ = build_mi_dataset([first, later], test, 1, seed=0)
+        assert members[0] is first
+
     def test_insufficient_data_rejected(self):
         train = self.corpus_of(["a x", "b y"])
         test = self.corpus_of(["c z"])
@@ -312,3 +320,18 @@ class TestDumpTable:
         assert lines[0] == "index,candidate,perplexity,planted"
         assert lines[1] == "0,code 1,3.0,0"
         assert lines[2] == "1,code 2,1.5,1"
+
+    def test_commas_in_candidates_are_quoted(self, tmp_path):
+        vocab = Vocabulary()
+        template = CanaryTemplate("my code, is ", "1,2", 1)
+        candidates = enumerate_canaries(template, vocab)
+        ppls = np.array([3.0, 1.5, 2.25])
+        path = tmp_path / "table.csv"
+        dump_perplexity_table(path, candidates, ppls, planted_index=2)
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "candidate", "perplexity", "planted"]
+        assert [len(row) for row in rows] == [4] * 4
+        assert [row[1] for row in rows[1:]] == [c.source_text for c in candidates]
+        assert [float(row[2]) for row in rows[1:]] == ppls.tolist()
+        assert [row[3] for row in rows[1:]] == ["0", "0", "1"]

@@ -13,7 +13,6 @@ from privlm.corpus import (
     load_corpus,
     minibatches,
     plant_canary,
-    read_canary_manifest,
     split_corpus,
     write_canary_manifest,
 )
@@ -278,6 +277,19 @@ class TestPlantCanary:
         assert sum(planted.labels) == 3
         assert all(planted.labels[p] for p in positions)
 
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_canary_longer_than_max_len_rejected(self, count):
+        # Truncated to 4 tokens the canary reads "my bank security code": no secret left.
+        template = CanaryTemplate("my bank security code is ", "12", 2)
+        with pytest.raises(CorpusError, match="6 tokens, more than max_len 4"):
+            plant_canary(self.make(), template, "21", count=count, seed=0, max_len=4)
+
+    def test_canary_of_exactly_max_len_planted_whole(self):
+        template = CanaryTemplate("my bank security code is ", "12", 2)
+        planted, positions = plant_canary(self.make(), template, "21", count=2, seed=0, max_len=6)
+        canary = planted.sequences[positions[0]]
+        assert planted.vocabulary.decode(list(canary.ids)) == "my bank security code is 21"
+
 
 class TestEnumerateCanaries:
     def test_digit_alphabet_1000(self):
@@ -369,13 +381,18 @@ class TestMinibatches:
 
 
 class TestCanaryManifest:
-    def test_roundtrip(self, tmp_path):
+    def test_writes_exact_text(self, tmp_path):
         template = CanaryTemplate("my bank security code is ", "123456789", 3)
         path = tmp_path / "canaries.txt"
         write_canary_manifest(path, template, "450", 50, [3, 17, 41])
-        loaded_template, fill, count, positions = read_canary_manifest(path)
-        assert loaded_template == template
-        assert (fill, count, positions) == ("450", 50, [3, 17, 41])
+        assert path.read_bytes() == (
+            b"prefix=my bank security code is \n"
+            b"slot_alphabet=123456789\n"
+            b"slot_count=3\n"
+            b"fill=450\n"
+            b"count=50\n"
+            b"positions=3,17,41\n"
+        )
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import featurize_by_loop
+from oracles import featurize_by_loop, select_threshold_by_scan
 from privlm import lm, privacy
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
     AugmentationConfig,
     DetectorError,
     DetectorModel,
+    _select_threshold,
     audit_context,
     build_detector_dataset,
     constant_detector,
@@ -211,6 +212,38 @@ class TestTrainDetector:
         ds = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, dataclasses.replace(aug, passes=2))
         with pytest.raises(DetectorError, match="fpr_cap"):
             train_detector(ds, epochs=1, char_dim=64, word_dim=32, fpr_cap=fpr_cap)
+
+
+# Scores rounded to one or two decimals tie often, within and across classes.
+SCORES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0).map(lambda v: round(v, 1)),
+    st.floats(0.0, 1.0).map(lambda v: round(v, 2)),
+)
+
+
+class TestSelectThreshold:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pos=st.lists(SCORES, min_size=1, max_size=25),
+        neg=st.lists(SCORES, min_size=1, max_size=25),
+        fpr_cap=st.one_of(st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.floats(0.0, 1.0)),
+        interleave=st.randoms(use_true_random=False),
+    )
+    @example(pos=[0.5], neg=[0.5], fpr_cap=0.0, interleave=None)
+    @example(pos=[0.9], neg=[0.1], fpr_cap=1.0, interleave=None)
+    @example(pos=[0.2, 0.2, 0.7], neg=[0.7, 0.2], fpr_cap=0.0, interleave=None)
+    def test_equals_candidate_scan(self, pos, neg, fpr_cap, interleave):
+        scores = np.array(pos + neg)
+        y = np.array([True] * len(pos) + [False] * len(neg))
+        if interleave is not None:
+            order = list(range(len(scores)))
+            interleave.shuffle(order)
+            scores, y = scores[order], y[order]
+        got = _select_threshold(scores, y, fpr_cap)
+        want = select_threshold_by_scan(scores, y, fpr_cap)
+        assert got == want
+        assert all(type(v) is float for v in got)
 
 
 class TestClassify:
@@ -415,6 +448,11 @@ class TestContextAudit:
         )
         audit = audit_context(params, seq, target_index=5, alpha=0.0, cfg=cfg, vocabulary=vocab)
         assert not audit.found
+        # Without a qualifying suffix the result is the full prefix, unparaphrased.
+        assert audit.context_ids == seq.ids[:4]
+        assert audit.context_text == "filler0 security code is"
+        assert audit.length == 4
+        assert len(audit.gaps_by_length) == 5 and audit.gap == audit.gaps_by_length[-1]
 
     def test_index_validation(self, context_lm):
         params, vocab = context_lm

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,13 @@ class TestConfigParsing:
                 write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", regime="magic")
             )
 
+    @pytest.mark.parametrize("key, value", [("canary_count", "50"), ("canary_fill", "452")])
+    def test_canary_settings_without_prefix_rejected(self, tmp_path, data_dir, key, value):
+        overrides = {"canary_prefix": "", "canary_fill": "", "canary_count": "0", key: value}
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", **overrides)
+        with pytest.raises(ExperimentError, match="canary_prefix"):
+            ExperimentConfig.from_file(cfg)
+
     def test_mi_members_typo_rejected(self, tmp_path, data_dir):
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o",
                                  mi_members="sensitve")
@@ -178,6 +186,22 @@ class TestTrainRun:
         assert report.epoch == 1
         assert dump.exists()
         assert len(dump.read_text().splitlines()) == 10  # header + 9 candidates
+
+    def test_attack_rebuilds_canary_from_config(self, nodp_run, tmp_path):
+        run_dir, _ = nodp_run
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        (copy / "canaries.txt").unlink()
+        without = run_attacks(copy / "manifest.json")
+        assert without.csv_row() == run_attacks(run_dir / "manifest.json").csv_row()
+
+    def test_attack_without_canary_rejected(self, data_dir, tmp_path):
+        cfg = write_train_config(tmp_path / "run.cfg", data_dir, tmp_path / "run", epochs=1,
+                                 canary_prefix="", canary_fill="", canary_count="0")
+        train(ExperimentConfig.from_file(cfg))
+        with pytest.raises(ExperimentError, match="canary_prefix"):
+            run_attacks(tmp_path / "run" / "manifest.json")
+        assert not (tmp_path / "run" / "attacks.csv").exists()
 
     def test_attack_missing_epoch_rejected(self, nodp_run):
         run_dir, _ = nodp_run

@@ -2,8 +2,10 @@
 
 perfbench/measure.py drives the package through its public entry points,
 checks every repetition's outputs and reads the results of traced calls in
-its span annotations. This runs the ``cadp_desk`` workload in process, as
-``perfbench/run.py --workload cadp_desk --seed 1 --seconds 0 --trace 1``
+its span annotations. This runs the ``cadp_desk`` workload (training) and
+the ``audit_wide`` workload (attacks, detector retraining, context audit and
+report) in process, as
+``perfbench/run.py --workload <name> --seed 1 --seconds 0 --trace 1``
 would, with no timing gate.
 """
 
@@ -12,11 +14,14 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("attacks", "corpus", "detector", "experiment", "lm", "privacy", "report", "synth")
 
 
-def test_traced_cadp_desk_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["cadp_desk", "audit_wide"])
+def test_traced_run(tmp_path, monkeypatch, workload):
     monkeypatch.chdir(ROOT)  # workload configs name package data relative to the checkout
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     measure = importlib.import_module("measure")
@@ -25,7 +30,7 @@ def test_traced_cadp_desk_run(tmp_path, monkeypatch):
     for name in SUBMODULES:
         importlib.import_module(f"privlm.{name}")
 
-    record = measure.run_workload(pl, workloads.WORKLOADS["cadp_desk"], 1, 0.0, True, tmp_path)
+    record = measure.run_workload(pl, workloads.WORKLOADS[workload], 1, 0.0, True, tmp_path)
 
     assert record["failed"] == 0, record["failures"]
     assert not record["untraced_targets"]
