@@ -380,13 +380,14 @@ def train_detector(
 
     X = featurize(dataset.texts, char_dim, word_dim)
     Xtr, ytr = X[train_idx], y[train_idx].astype(np.float64)
+    XtrT = Xtr.T  # built once; each epoch's product with it is unchanged
     w = np.zeros(char_dim + word_dim)
     b = 0.0
     n = len(train_idx)
     for _ in range(epochs):
         p = lm._sigmoid(np.asarray(Xtr @ w) + b)
         err = p - ytr
-        w -= eta * (np.asarray(Xtr.T @ err) / n + L2_PENALTY * w)
+        w -= eta * (np.asarray(XtrT @ err) / n + L2_PENALTY * w)
         b -= eta * float(err.mean())
 
     val_scores = lm._sigmoid(np.asarray(X[val_idx] @ w) + b)

@@ -58,7 +58,7 @@ class ExperimentError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; the manifest is still written."""
+    """Raised when training goes non-finite; the manifest is still written."""
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +289,8 @@ def train(config: ExperimentConfig) -> dict:
     """Run one training regime end to end and write the run directory.
 
     Returns the manifest dict (also written as ``manifest.json``). Raises
-    TrainingDiverged after writing the manifest if the loss goes non-finite.
+    TrainingDiverged after writing a ``"diverged"`` manifest if the weights,
+    a private step's gradient norms or the validation loss go non-finite.
     """
     t_start = time.monotonic()
     out_dir = Path(config["out_dir"])
@@ -343,14 +344,20 @@ def train(config: ExperimentConfig) -> dict:
     private_steps = 0
     diverged = False
     for epoch in range(1, config["epochs"] + 1):
-        for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
-            batch_s = [s for s in batch if flags[s.source_text]]
-            batch_ns = [s for s in batch if not flags[s.source_text]]
-            if batch_s:
-                params = privacy.dp_sgd_step(params, batch_s, spec, noise_rng)
-                private_steps += 1
-            if batch_ns:
-                params = privacy.plain_sgd_step(params, batch_ns, config["eta"])
+        try:
+            for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
+                batch_s = [s for s in batch if flags[s.source_text]]
+                batch_ns = [s for s in batch if not flags[s.source_text]]
+                if batch_s:
+                    params = privacy.dp_sgd_step(params, batch_s, spec, noise_rng)
+                    private_steps += 1
+                if batch_ns:
+                    params = privacy.plain_sgd_step(params, batch_ns, config["eta"])
+        except privacy.NonFiniteGradient:
+            # A private step cannot clip an overflowed gradient, so it stops
+            # mid-epoch where a plain step would carry the inf/nan to the check below.
+            diverged = True
+            break
         if not np.isfinite(params.theta).all():
             diverged = True
             break
@@ -398,7 +405,7 @@ def train(config: ExperimentConfig) -> dict:
     )
     if diverged:
         raise TrainingDiverged(
-            f"loss went non-finite in epoch {len(manifest['epochs']) + 1}; "
+            f"training went non-finite in epoch {len(manifest['epochs']) + 1}; "
             f"manifest written to {out_dir / 'manifest.json'}"
         )
     return manifest

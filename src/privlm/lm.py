@@ -11,6 +11,17 @@ activations for the backward pass, while the scoring functions
 (``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
 step as it arrives and keep no activations.
 
+The kernel's per-step costs are fixed costs of passes and fresh arrays, so
+it does its float64 arithmetic in as few of both as keep the bits
+unchanged: one sigmoid over the whole (B, 4H) gate pre-activation, written
+as exp(-|x|) and one division with no boolean gather; the output bias added
+in place and one reused (B, V) buffer for the log-softmax ``exp``; z, h and
+the log-probabilities computed straight into ``backprop``'s (T, B, .)
+factor arrays; the padding mask applied only on steps where some row is
+padded; and the gate errors d * s * (1 - s) formed for all four blocks at
+once. ``scipy.special.expit`` is as fast as this sigmoid but differs in the
+last bit, so it is not used.
+
 Gradients are kept factored: ``backprop`` returns the per-step factors BPTT
 computes anyway (``GradientFactors``), of which each weight block of an
 example's gradient is a sum over steps of outer products. Training reads two
@@ -151,13 +162,10 @@ def init_params(vocab_size: int, d_emb: int, d_hid: int, seed: int) -> LMParamet
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = exp(-|x|)
+    # so exp never overflows; no boolean gather, same bits as the two branches.
+    e = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 def _pack_batch(
@@ -190,35 +198,42 @@ def _pack_batch(
     return X, Y, M
 
 
-def _steps(params: LMParameters, X: np.ndarray):
+def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None):
     """The LSTM cell and log-softmax, one time step at a time.
 
-    Yields ``(z, (i, f, g, o), c_prev, ct, h, logp)`` for each column of the
-    packed inputs ``X`` (B, T): the cell input [x_t ; h_{t-1}], the gates,
-    the cell state before and tanh after the update, the hidden state and
-    the (B, V) next-token log-probabilities. Nothing is retained between
-    steps unless the caller keeps it.
+    Yields ``(z, s, g, c_prev, ct, h, logp)`` for each column of the packed
+    inputs ``X`` (B, T): the cell input [x_t ; h_{t-1}], the sigmoid of the
+    whole (B, 4H) gate pre-activation (its blocks 0, 1 and 3 are the input,
+    forget and output gates i, f, o), the cell gate g, the cell state before
+    and tanh after the update, the hidden state and the (B, V) next-token
+    log-probabilities. Nothing is retained between steps unless the caller
+    keeps it. Given ``keep = (zs, hs, logits)``, three (T, B, .) buffers,
+    step t's z, h and log-probabilities are computed in their row t.
     """
     B, T = X.shape
     H = params.d_hid
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     Wt = params.lstm_W.T  # (E+H, 4H)
+    exp_scratch = np.empty((B, params.vocab_size))
     for t in range(T):
-        z = np.concatenate([params.emb[X[:, t]], h], axis=1)
-        a = z @ Wt + params.lstm_b
-        i = _sigmoid(a[:, :H])
-        f = _sigmoid(a[:, H : 2 * H])
+        z_out, h_out, logp_out = (None,) * 3 if keep is None else (buf[t] for buf in keep)
+        z = np.concatenate([params.emb[X[:, t]], h], axis=1, out=z_out)
+        a = z @ Wt
+        a += params.lstm_b
+        s = _sigmoid(a)  # the g block is unused: one call beats three slices
+        i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
         g = np.tanh(a[:, 2 * H : 3 * H])
-        o = _sigmoid(a[:, 3 * H :])
         c_prev = c
-        c = f * c + i * g
+        c = f * c
+        c += i * g
         ct = np.tanh(c)
-        h = o * ct
-        logp = h @ params.out_W + params.out_b
+        h = np.multiply(o, ct, out=h_out)
+        logp = np.matmul(h, params.out_W, out=logp_out)
+        logp += params.out_b
         logp -= logp.max(axis=1, keepdims=True)
-        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-        yield z, (i, f, g, o), c_prev, ct, h, logp
+        logp -= np.log(np.exp(logp, out=exp_scratch).sum(axis=1, keepdims=True))
+        yield z, s, g, c_prev, ct, h, logp
 
 
 def _nlls(logps, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -345,8 +360,9 @@ class GradientFactors:
         """
         V, E, H = self.dims
         T, B = self.delta.shape[:2]
-        out = np.zeros(_num_params(V, E, H))
+        out = np.empty(_num_params(V, E, H))
         g_emb, g_W, g_b, g_U, g_ob = _views(out, V, E, H)
+        g_emb.fill(0.0)  # the gemms below overwrite every other block
         w3 = w[None, :, None]
         np.matmul((self.h * w3).reshape(T * B, H).T, self.delta.reshape(T * B, V), out=g_U)
         np.matmul(self.da.reshape(T * B, 4 * H).T, (self.z * w3).reshape(T * B, E + H), out=g_W)
@@ -369,54 +385,53 @@ def backprop(params: LMParameters, seqs: list[TokenSequence]) -> GradientFactors
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
 
-    # Each step's log-probability table is kept in delta[t], where the backward
-    # sweep overwrites it with that step's output error once the NLLs are read,
-    # so the batch holds one T*B*V array. The recurrence forces a sequential
-    # sweep over time; the other per-step errors are collected into (T, B, .)
-    # arrays and contracted afterwards.
-    delta = np.empty((T, B, V))
-    cache = []
-    for t, (z, gates, c_prev, ct, h, logp) in enumerate(_steps(params, X)):
-        cache.append((z, gates, c_prev, ct, h))
-        delta[t] = logp
-    zs, gates, c_prevs, cts, hs = zip(*cache)
+    # Each step's log-probability table is computed in delta[t], where the
+    # backward sweep overwrites it with that step's output error once the NLLs
+    # are read, so the batch holds one T*B*V array. The recurrence forces a
+    # sequential sweep over time; the other per-step errors are collected into
+    # (T, B, .) arrays and contracted afterwards.
+    zs, hs, delta = np.empty((T, B, E + H)), np.empty((T, B, H)), np.empty((T, B, V))
+    cache = [step[1:5] for step in _steps(params, X, (zs, hs, delta))]
     nlls = _nlls(delta, Y, M)
+    padded = (M == 0.0).any(axis=0)  # steps where some row is past its end
     da_all = np.empty((T, B, 4 * H))
     demb_all = np.empty((T, B, E))
 
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        i, f, g, o = gates[t]
-        ct = cts[t]
-        c_prev = c_prevs[t]
+        s, g, c_prev, ct = cache[t]
+        i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
 
         dlogits = np.exp(delta[t], out=delta[t])
         dlogits[rows, Y[:, t]] -= 1.0
-        dlogits *= M[:, t][:, None]
+        if padded[t]:
+            dlogits *= M[:, t][:, None]
 
-        dh = dlogits @ params.out_W.T + dh_next
-
-        do = dh * ct
-        dc = dh * o * (1.0 - ct * ct) + dc_next
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
+        dh = dlogits @ params.out_W.T
+        dh += dh_next
+        dc = dh * o
+        dc *= 1.0 - ct * ct
+        dc += dc_next
         dc_next = dc * f
 
+        # Gate errors: d * s * (1 - s) over all four blocks at once, then the
+        # cell block is rewritten with its tanh derivative.
         da = da_all[t]
-        da[:, :H] = di * i * (1.0 - i)
-        da[:, H : 2 * H] = df * f * (1.0 - f)
-        da[:, 2 * H : 3 * H] = dg * (1.0 - g * g)
-        da[:, 3 * H :] = do * o * (1.0 - o)
+        np.multiply(dc, g, out=da[:, :H])
+        np.multiply(dc, c_prev, out=da[:, H : 2 * H])
+        np.multiply(dc, i, out=da[:, 2 * H : 3 * H])
+        np.multiply(dh, ct, out=da[:, 3 * H :])
+        dg = da[:, 2 * H : 3 * H].copy()
+        da *= s
+        da *= 1.0 - s
+        np.multiply(dg, 1.0 - g * g, out=da[:, 2 * H : 3 * H])
 
         dz = da @ params.lstm_W
         demb_all[t] = dz[:, :E]
         dh_next = dz[:, E:]
 
-    return GradientFactors(
-        nlls, X, np.stack(zs), np.stack(hs), delta, da_all, demb_all, (V, E, H)
-    )
+    return GradientFactors(nlls, X, zs, hs, delta, da_all, demb_all, (V, E, H))
 
 
 def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -439,9 +454,15 @@ def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[floa
 
 
 def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:
-    """Gradient-descent step: returns new parameters theta - eta * update."""
+    """Gradient-descent step: returns new parameters theta - eta * update.
+
+    Neither ``update`` nor ``params`` is modified; the new theta is the one
+    array allocated.
+    """
     if update.shape != params.theta.shape:
         raise LMError(
             f"update shape {update.shape} does not match parameter shape {params.theta.shape}"
         )
-    return LMParameters(params.theta - eta * update, params.vocab_size, params.d_emb, params.d_hid)
+    theta = np.multiply(update, eta)
+    np.subtract(params.theta, theta, out=theta)
+    return LMParameters(theta, params.vocab_size, params.d_emb, params.d_hid)

@@ -6,6 +6,11 @@ draw with per-coordinate std sigma*C, divide by the batch size, and take an
 SGD step. Noise comes from a dedicated seeded stream, independent of data
 shuffling, so runs are bit-reproducible.
 
+The noise is drawn as P standard normals and scaled by sigma*C in place,
+which gives the bits of ``normal(0, sigma*C)``; adding it and dividing by
+|B| happen in the weighted sum's buffer, and ``lm.apply_update`` allocates
+only the new parameter vector.
+
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),
 turns it into a scale s = 1 if n <= C, else C * (1 - CLIP_SLACK) / n, and
@@ -49,6 +54,10 @@ CLIP_SLACK = 1e-9
 
 class PrivacyError(ValueError):
     """Raised for invalid privacy parameters or misuse of the private step."""
+
+
+class NonFiniteGradient(PrivacyError):
+    """Raised when a per-example gradient norm is inf or nan, so no clip applies."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ def scales_for_norms(norms: np.ndarray, clip_bound: float) -> np.ndarray:
         raise PrivacyError(f"clip bound must be > 0, got {clip_bound}")
     # A non-finite entry anywhere makes its row norm inf or nan.
     if not np.all(np.isfinite(norms)):
-        raise PrivacyError("gradient contains non-finite entries")
+        raise NonFiniteGradient("gradient contains non-finite entries")
     scales = np.ones_like(norms)
     over = norms > clip_bound
     scales[over] = clip_bound * (1.0 - CLIP_SLACK) / norms[over]
@@ -123,8 +132,14 @@ def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
 
 def _noisy_mean(total: np.ndarray, batch_size: int, clip_bound: float, sigma: float,
                 rng: np.random.Generator) -> np.ndarray:
-    noise = rng.normal(0.0, sigma * clip_bound, size=total.shape[0])
-    return (total + noise) / batch_size
+    """(total + one draw of N(0, (sigma*C)^2 I)) / batch_size, computed in ``total``."""
+    # normal(0, s) computes 0.0 + s * z, so only an exact-zero product could
+    # differ (in the sign of the zero).
+    noise = rng.standard_normal(total.shape[0])
+    noise *= sigma * clip_bound
+    total += noise
+    total /= batch_size
+    return total
 
 
 def noisy_clipped_mean(
@@ -179,7 +194,8 @@ def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float)
     if not batch:
         raise PrivacyError("plain_sgd_step requires a non-empty batch")
     factors = lm.backprop(params, batch)
-    update_flat = factors.weighted_sum(np.ones(len(batch))) / len(batch)
+    update_flat = factors.weighted_sum(np.ones(len(batch)))
+    update_flat /= len(batch)
     return lm.apply_update(params, update_flat, eta)
 
 

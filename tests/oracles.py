@@ -2,7 +2,8 @@
 
 Each is deliberately written from the definition, not from the package's
 code path: finite differences for gradients, one-sequence backward passes
-for batched gradient norms and sums, quadrature for the Renyi divergence,
+for batched gradient norms and sums, a boolean-mask two-branch logistic
+function for the gate sigmoid, quadrature for the Renyi divergence,
 brute-force sorting and recounting for ranks and attack accuracies, a
 per-gram ``zlib.crc32`` loop for the detector's hashed features, and a
 candidate-by-candidate recount for the detector's threshold.
@@ -34,6 +35,20 @@ def finite_difference_gradient(params: LMParameters, seq: TokenSequence, h: floa
         f_dn = lm.nll(lm.LMParameters(dn, params.vocab_size, params.d_emb, params.d_hid), seq)
         grad[i] = (f_up - f_dn) / (2.0 * h)
     return grad
+
+
+def sigmoid_by_branches(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, gathered by masks.
+
+    Each branch only ever exponentiates a non-positive number, so nothing
+    overflows; nan fails ``x >= 0`` and takes the second branch.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def renyi_divergence_quadrature(sigma: float, alpha: float) -> float:

@@ -311,6 +311,17 @@ class TestRegimeDispatch:
         manifest = load_manifest(tmp_path / "run" / "manifest.json")
         assert manifest["status"] == "diverged"
 
+    def test_private_divergence_aborts_with_manifest(self, data_dir, tmp_path, capsys):
+        """Overflowed weights stop a private run like a plain one: manifest, exit 2."""
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run",
+                                 regime="dpsgd", eta=1e300, clip_bound=1.0, epochs=2)
+        with np.errstate(all="ignore"):
+            assert cli_main(["train", "--config", str(cfg)]) == 2
+        assert "non-finite in epoch 1" in capsys.readouterr().err
+        manifest = load_manifest(tmp_path / "run" / "manifest.json")
+        assert manifest["status"] == "diverged"
+        assert manifest["epochs"] == [] and manifest["audit"] is None
+
 
 class TestPairedCanaryExposure:
     def test_planted_run_more_exposed_than_control(self, data_dir, tmp_path):

@@ -10,7 +10,7 @@ from privlm.corpus import TokenSequence
 from privlm.lm import LMError, LMParameters
 
 from conftest import lm_batches, traced_peak
-from oracles import finite_difference_gradient, per_example_rows
+from oracles import finite_difference_gradient, per_example_rows, sigmoid_by_branches
 
 # Relative-error floor for gradient checks: the central-difference oracle
 # itself carries ~1e-10 absolute noise, so entries below the floor cannot be
@@ -48,6 +48,42 @@ class TestInit:
     def test_dimension_validation(self):
         with pytest.raises(LMError):
             lm.init_params(0, 4, 4, seed=0)
+
+
+# Signed zeros, infinities, nan, subnormals, and |x| where exp(|x|) overflows
+# (>= 710) or exp(-|x|) is subnormal or zero (>= 709, 745, 746).
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                  709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray, x: np.ndarray) -> None:
+    """Bitwise equality, except that a nan input only needs a nan output."""
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats() | st.sampled_from(_SIGMOID_EDGES), min_size=1, max_size=40),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    def test_matches_branch_oracle_bitwise(self, values, rows, offset):
+        x = np.array(values)
+        assert_same_bits(lm._sigmoid(x), sigmoid_by_branches(x), x)
+        # A column block of a wider 2-D array, as the gate blocks of (B, 4H) are.
+        wide = np.tile(np.concatenate([np.full(offset, 0.5), x, [-3.0]]), (rows, 1))
+        block = wide[:, offset : offset + len(x)]
+        assert not block.flags.c_contiguous or rows == 1
+        assert_same_bits(lm._sigmoid(block), sigmoid_by_branches(block), block)
+
+    def test_edges_take_their_limits(self):
+        with np.errstate(over="raise", invalid="raise"):  # exp must never overflow
+            got = lm._sigmoid(np.array([-0.0, 0.0, np.inf, -np.inf, 746.0, -746.0]))
+        assert np.array_equal(got, [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
+        assert np.isnan(lm._sigmoid(np.array([np.nan]))[0])
 
 
 class TestForward:
@@ -255,6 +291,18 @@ class TestGradientFactors:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestBackpropScoring:
+    @pytest.mark.parametrize("lengths", [[6, 6, 6, 6, 6], [2, 9, 4, 9, 3, 7]])
+    def test_nlls_equal_forward_only_scoring_bitwise(self, lengths):
+        # Equal lengths leave no step padded, so BPTT skips every mask
+        # multiply; mixed lengths pad the tail steps of the short rows.
+        params = lm.init_params(30, 5, 6, seed=4)
+        rng = np.random.default_rng(len(lengths))
+        seqs = [random_seq(rng, 30, n) for n in lengths]
+        got = lm.backprop(params, seqs).nlls
+        assert np.array_equal(got.view(np.int64), lm.sequence_nlls(params, seqs).view(np.int64))
+
+
 class TestGradientMemory:
     def test_peak_below_twice_the_stack(self):
         # The (B, P) per-example stack is allocated once and every gradient
@@ -288,6 +336,16 @@ class TestApplyUpdate:
         half = lm.apply_update(self.params, self.grad, 0.1)
         two = lm.apply_update(half, self.grad, 0.1)
         assert np.allclose(one.theta, two.theta, rtol=0, atol=1e-15)
+
+    def test_inputs_unchanged(self):
+        theta, grad = self.params.theta.copy(), self.grad.copy()
+        updated = lm.apply_update(self.params, self.grad, 0.2)
+        assert np.array_equal(self.params.theta, theta)
+        assert np.array_equal(self.grad, grad)
+        assert not np.shares_memory(updated.theta, self.grad)
+        assert not np.shares_memory(updated.theta, self.params.theta)
+        want = theta - 0.2 * grad
+        assert np.array_equal(updated.theta.view(np.int64), want.view(np.int64))
 
     def test_shape_mismatch_rejected(self):
         other = lm.init_params(9, 4, 4, seed=2)

@@ -226,6 +226,31 @@ class TestDpSgdStep:
         assert np.all(np.abs(mc_mean - clipped_mean) <= band)
 
 
+class TestUpdateFormulas:
+    """Both training updates against their formulas, written out in full."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lm_batches(), st.floats(0.1, 5.0), st.floats(0.01, 2.0), st.integers(0, 2**32 - 1))
+    def test_dp_sgd_step_bitwise(self, batch, sigma, clip, seed):
+        params, seqs = batch
+        spec = PrivacySpec(sigma=sigma, clip_bound=clip, delta=1e-5, alpha=2.0, eta=0.3)
+        got = dp_sgd_step(params, seqs, spec, np.random.default_rng(seed))
+        factors = lm.backprop(params, seqs)
+        total = factors.weighted_sum(privacy.scales_for_norms(factors.norms(), clip))
+        noise = np.random.default_rng(seed).normal(0.0, sigma * clip, params.num_params)
+        want = params.theta - spec.eta * ((total + noise) / len(seqs))
+        assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lm_batches())
+    def test_plain_sgd_step_bitwise(self, batch):
+        params, seqs = batch
+        got = plain_sgd_step(params, seqs, eta=0.3)
+        total = lm.backprop(params, seqs).weighted_sum(np.ones(len(seqs)))
+        want = params.theta - 0.3 * (total / len(seqs))
+        assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
+
+
 class TestRdpAccounting:
     def test_closed_form_values(self):
         assert gaussian_rdp_epsilon(1.0, 2.0) == pytest.approx(1.0)
