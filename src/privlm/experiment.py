@@ -15,8 +15,14 @@ A run writes into its output directory: ``manifest.json`` (resolved config,
 per-epoch validation perplexity, privacy audit, checkpoint paths, all
 byte-reproducible), ``vocab.txt``, ``canaries.txt`` (a human-readable
 planting record; attacks rebuild the canary from the config), per-epoch
-checkpoints, and ``timing.txt``. Wall-clock lives in the timing sidecar only,
-so the manifest itself is identical across reruns of the same config.
+checkpoints, and ``timing.txt``. Wall-clock and the BLAS thread count live in
+the timing sidecar only, so the manifest itself is identical across reruns of
+the same config.
+
+Batched matrix products sum in blocks set by BLAS's thread count, so the bits
+of trained weights and attack scores depend on it. ``train``, ``run_attacks``
+and ``audit_manifest_context`` therefore pin numpy's bundled OpenBLAS to one
+thread while they run and restore the previous count on every exit.
 
 Config files are flat ``key = value`` text; unknown keys are rejected. See
 the schemas below for every key and its default.
@@ -24,6 +30,8 @@ the schemas below for every key and its default.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -194,6 +202,8 @@ class ExperimentConfig:
             raise ExperimentError("cadp requires a 'detector' checkpoint path")
         if v["regime"] == "sdpsgd" and not [p for p in v["secret_pattern"] if p]:
             raise ExperimentError("sdpsgd requires at least one 'secret_pattern'")
+        if v["batch_size"] < 1:
+            raise ExperimentError(f"batch_size must be >= 1, got {v['batch_size']}")
         if v["mi_members"] not in ("sensitive", "all"):
             raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
@@ -214,6 +224,37 @@ class ExperimentConfig:
     def run_id(self) -> str:
         canonical = json.dumps(self.resolved(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+def _openblas_threads():
+    """(getter, setter) of numpy's bundled OpenBLAS thread count, or None if not found."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    try:
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; pins nothing where it is not found."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _derived_seed(base: int, tag: str) -> int:
@@ -285,6 +326,7 @@ def _template_from_config(config: ExperimentConfig) -> CanaryTemplate:
     )
 
 
+@_one_blas_thread()
 def train(config: ExperimentConfig) -> dict:
     """Run one training regime end to end and write the run directory.
 
@@ -343,21 +385,26 @@ def train(config: ExperimentConfig) -> dict:
 
     private_steps = 0
     diverged = False
+    longest = max(len(s) for s in train_corpus.sequences)
     for epoch in range(1, config["epochs"] + 1):
+        # The steps' buffers live for one epoch: kept through validation and the
+        # checkpoint, their pages would add to its peak memory.
+        workspace = lm.Workspace(params, config["batch_size"], longest)
         try:
             for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
                 batch_s = [s for s in batch if flags[s.source_text]]
                 batch_ns = [s for s in batch if not flags[s.source_text]]
                 if batch_s:
-                    params = privacy.dp_sgd_step(params, batch_s, spec, noise_rng)
+                    params = privacy.dp_sgd_step(params, batch_s, spec, noise_rng, workspace)
                     private_steps += 1
                 if batch_ns:
-                    params = privacy.plain_sgd_step(params, batch_ns, config["eta"])
+                    params = privacy.plain_sgd_step(params, batch_ns, config["eta"], workspace)
         except privacy.NonFiniteGradient:
             # A private step cannot clip an overflowed gradient, so it stops
             # mid-epoch where a plain step would carry the inf/nan to the check below.
             diverged = True
             break
+        del workspace
         if not np.isfinite(params.theta).all():
             diverged = True
             break
@@ -400,8 +447,11 @@ def train(config: ExperimentConfig) -> dict:
 
     manifest["status"] = "diverged" if diverged else "completed"
     _write_manifest(out_dir / "manifest.json", manifest)
+    blas = _openblas_threads()
     (out_dir / "timing.txt").write_text(
-        f"wall_clock_seconds={time.monotonic() - t_start:.3f}\n", encoding="utf-8"
+        f"wall_clock_seconds={time.monotonic() - t_start:.3f}\n"
+        f"blas_threads={blas[0]() if blas else 'unknown'}\n",
+        encoding="utf-8",
     )
     if diverged:
         raise TrainingDiverged(
@@ -447,6 +497,7 @@ def _load_checkpoint(
     return manifest, config, entry, vocab, params
 
 
+@_one_blas_thread()
 def run_attacks(
     manifest_path: str | Path,
     checkpoint_epoch: int | None = None,
@@ -512,6 +563,7 @@ def run_attacks(
     return report
 
 
+@_one_blas_thread()
 def audit_manifest_context(
     manifest_path: str | Path, sentence: str, index: int, alpha: float
 ) -> detector_mod.ContextAudit:

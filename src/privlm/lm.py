@@ -11,16 +11,18 @@ activations for the backward pass, while the scoring functions
 (``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
 step as it arrives and keep no activations.
 
-The kernel's per-step costs are fixed costs of passes and fresh arrays, so
-it does its float64 arithmetic in as few of both as keep the bits
-unchanged: one sigmoid over the whole (B, 4H) gate pre-activation, written
-as exp(-|x|) and one division with no boolean gather; the output bias added
-in place and one reused (B, V) buffer for the log-softmax ``exp``; z, h and
-the log-probabilities computed straight into ``backprop``'s (T, B, .)
-factor arrays; the padding mask applied only on steps where some row is
-padded; and the gate errors d * s * (1 - s) formed for all four blocks at
-once. ``scipy.special.expit`` is as fast as this sigmoid but differs in the
-last bit, so it is not used.
+Training steps draw their large arrays from a ``Workspace``: named,
+grow-only float64 buffers that hand out C-contiguous prefix views, so a run
+whose steps change B and T from one step to the next (cadp alternates small
+private and large plain batches) reuses the same pages instead of faulting in
+fresh ones. ``backprop`` takes its (T, B, .) factor arrays z, h, delta, da and
+e and its (B, V) log-softmax ``exp`` scratch from it. The step functions in
+``privacy`` draw the noise into its (P,) ``noise`` buffer, and write the
+weighted sum, and then the new theta over it, into whichever of its two (P,)
+parameter buffers does not hold the old theta. So a step's factors live until
+the next ``backprop`` on the same workspace, and the theta a step returns is
+unchanged by the next step and valid until the one after. A call without a
+workspace builds a fresh one; the scoring functions keep their own buffers.
 
 Gradients are kept factored: ``backprop`` returns the per-step factors BPTT
 computes anyway (``GradientFactors``), of which each weight block of an
@@ -163,7 +165,8 @@ def init_params(vocab_size: int, d_emb: int, d_hid: int, seed: int) -> LMParamet
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = exp(-|x|)
-    # so exp never overflows; no boolean gather, same bits as the two branches.
+    # so exp never overflows; no boolean gather, same bits as the two branches
+    # (scipy.special.expit is as fast but differs in the last bit).
     e = np.exp(-np.abs(x))
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
@@ -198,7 +201,8 @@ def _pack_batch(
     return X, Y, M
 
 
-def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None):
+def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None,
+           exp_scratch: np.ndarray | None = None):
     """The LSTM cell and log-softmax, one time step at a time.
 
     Yields ``(z, s, g, c_prev, ct, h, logp)`` for each column of the packed
@@ -208,14 +212,16 @@ def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None):
     and tanh after the update, the hidden state and the (B, V) next-token
     log-probabilities. Nothing is retained between steps unless the caller
     keeps it. Given ``keep = (zs, hs, logits)``, three (T, B, .) buffers,
-    step t's z, h and log-probabilities are computed in their row t.
+    step t's z, h and log-probabilities are computed in their row t; the
+    log-softmax ``exp`` goes to ``exp_scratch`` (B, V), or a fresh buffer.
     """
     B, T = X.shape
     H = params.d_hid
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     Wt = params.lstm_W.T  # (E+H, 4H)
-    exp_scratch = np.empty((B, params.vocab_size))
+    if exp_scratch is None:
+        exp_scratch = np.empty((B, params.vocab_size))
     for t in range(T):
         z_out, h_out, logp_out = (None,) * 3 if keep is None else (buf[t] for buf in keep)
         z = np.concatenate([params.emb[X[:, t]], h], axis=1, out=z_out)
@@ -352,15 +358,17 @@ class GradientFactors:
         sq += np.square(self.delta.sum(axis=0)).sum(axis=1)
         return np.sqrt(sq)
 
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+    def weighted_sum(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """sum_b w[b] * g_b as one flat (P,) vector: one gemm per weight block.
 
         The weights scale the narrow factor (h, z, e) of each product, never
-        the (T, B, V) output errors.
+        the (T, B, V) output errors. The sum is written to ``out`` (P,) when
+        given, else to a fresh vector, and returned.
         """
         V, E, H = self.dims
         T, B = self.delta.shape[:2]
-        out = np.empty(_num_params(V, E, H))
+        if out is None:
+            out = np.empty(_num_params(V, E, H))
         g_emb, g_W, g_b, g_U, g_ob = _views(out, V, E, H)
         g_emb.fill(0.0)  # the gemms below overwrite every other block
         w3 = w[None, :, None]
@@ -372,30 +380,76 @@ class GradientFactors:
         return out
 
 
-def backprop(params: LMParameters, seqs: list[TokenSequence]) -> GradientFactors:
+def _backprop_shapes(V: int, E: int, H: int, B: int, T: int) -> dict[str, tuple[int, ...]]:
+    """The workspace arrays one ``backprop`` over B sequences and T steps takes."""
+    return {"z": (T, B, E + H), "h": (T, B, H), "delta": (T, B, V), "da": (T, B, 4 * H),
+            "e": (T, B, E), "exp": (B, V)}
+
+
+class Workspace:
+    """Named, grow-only float64 buffers for training steps, handed out as prefix views.
+
+    ``take(name, shape)`` returns a C-contiguous view of the first
+    prod(shape) entries of ``buffers[name]``, which is replaced by a larger
+    buffer only when a request outgrows it; so steps of every shape up to the
+    largest seen share the same memory. A view's contents last until its
+    name is taken again. Given the model, ``batch`` and ``max_len``, the constructor
+    allocates every buffer a training step takes, for batches of up to
+    ``batch`` sequences of up to ``max_len`` tokens.
+    """
+
+    def __init__(self, params: LMParameters | None = None, batch: int = 0, max_len: int = 0):
+        self.buffers: dict[str, np.ndarray] = {}
+        if params is not None:
+            V, E, H = params.vocab_size, params.d_emb, params.d_hid
+            for name, shape in _backprop_shapes(V, E, H, batch, max_len - 1).items():
+                self.take(name, shape)
+            for name in ("noise", "theta0", "theta1"):
+                self.take(name, params.theta.shape)
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def theta_buffer(self, params: LMParameters) -> np.ndarray:
+        """The one of the two (P,) parameter buffers that does not hold ``params.theta``."""
+        first = self.take("theta0", params.theta.shape)
+        if np.may_share_memory(first, params.theta):
+            return self.take("theta1", params.theta.shape)
+        return first
+
+
+def backprop(params: LMParameters, seqs: list[TokenSequence],
+             workspace: Workspace | None = None) -> GradientFactors:
     """Forward pass and BPTT over a batch; returns the per-step gradient factors.
 
     This is the single gradient implementation in the package: training
     steps contract its factors with per-example weights, and
     :func:`batch_gradients` and :func:`per_example_gradient` read the same
-    factors, so the finite-difference tests exercise the training code.
+    factors, so the finite-difference tests exercise the training code. The
+    factors are views of ``workspace`` (a fresh one if None), valid until
+    its next ``backprop``.
     """
     X, Y, M = _pack_batch(params, seqs)
     B, T = X.shape
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
+    ws = Workspace() if workspace is None else workspace
+    zs, hs, delta, da_all, demb_all, exp_scratch = (
+        ws.take(name, shape) for name, shape in _backprop_shapes(V, E, H, B, T).items()
+    )
 
     # Each step's log-probability table is computed in delta[t], where the
     # backward sweep overwrites it with that step's output error once the NLLs
     # are read, so the batch holds one T*B*V array. The recurrence forces a
     # sequential sweep over time; the other per-step errors are collected into
     # (T, B, .) arrays and contracted afterwards.
-    zs, hs, delta = np.empty((T, B, E + H)), np.empty((T, B, H)), np.empty((T, B, V))
-    cache = [step[1:5] for step in _steps(params, X, (zs, hs, delta))]
+    cache = [step[1:5] for step in _steps(params, X, (zs, hs, delta), exp_scratch)]
     nlls = _nlls(delta, Y, M)
     padded = (M == 0.0).any(axis=0)  # steps where some row is past its end
-    da_all = np.empty((T, B, 4 * H))
-    demb_all = np.empty((T, B, E))
 
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
@@ -453,16 +507,23 @@ def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[floa
     return float(factors.nlls[0]), factors.weighted_sum(np.ones(1))
 
 
-def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:
+def apply_update(params: LMParameters, update: np.ndarray, eta: float,
+                 out: np.ndarray | None = None) -> LMParameters:
     """Gradient-descent step: returns new parameters theta - eta * update.
 
-    Neither ``update`` nor ``params`` is modified; the new theta is the one
-    array allocated.
+    The new theta is written to ``out`` (P,) when given, else to a fresh
+    vector. ``out`` may be ``update`` itself, but not overlap ``params.theta``,
+    which the subtraction still reads; ``params`` is never modified, nor is
+    ``update`` unless it is ``out``.
     """
     if update.shape != params.theta.shape:
         raise LMError(
             f"update shape {update.shape} does not match parameter shape {params.theta.shape}"
         )
-    theta = np.multiply(update, eta)
-    np.subtract(params.theta, theta, out=theta)
-    return LMParameters(theta, params.vocab_size, params.d_emb, params.d_hid)
+    if out is None:
+        out = np.empty_like(params.theta)
+    elif np.may_share_memory(out, params.theta):
+        raise LMError("apply_update's out overlaps params.theta, which it still has to read")
+    np.multiply(update, eta, out=out)
+    np.subtract(params.theta, out, out=out)
+    return LMParameters(out, params.vocab_size, params.d_emb, params.d_hid)

@@ -7,9 +7,12 @@ SGD step. Noise comes from a dedicated seeded stream, independent of data
 shuffling, so runs are bit-reproducible.
 
 The noise is drawn as P standard normals and scaled by sigma*C in place,
-which gives the bits of ``normal(0, sigma*C)``; adding it and dividing by
-|B| happen in the weighted sum's buffer, and ``lm.apply_update`` allocates
-only the new parameter vector.
+which gives the bits of ``normal(0, sigma*C)``. Both steps take their arrays
+from an ``lm.Workspace`` (a fresh one when the caller passes none): the noise
+in its ``noise`` buffer, and the weighted sum, the added noise, the division
+by |B| and then the new theta in one parameter buffer, the one that does not
+hold the old theta. So the theta a step returns is valid until the step after
+next on the same workspace.
 
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),
@@ -131,11 +134,14 @@ def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
 
 
 def _noisy_mean(total: np.ndarray, batch_size: int, clip_bound: float, sigma: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """(total + one draw of N(0, (sigma*C)^2 I)) / batch_size, computed in ``total``."""
+                rng: np.random.Generator, noise: np.ndarray | None = None) -> np.ndarray:
+    """(total + one draw of N(0, (sigma*C)^2 I)) / batch_size, computed in ``total``.
+
+    The draw goes to ``noise`` when given, else to a fresh vector.
+    """
     # normal(0, s) computes 0.0 + s * z, so only an exact-zero product could
     # differ (in the sign of the zero).
-    noise = rng.standard_normal(total.shape[0])
+    noise = rng.standard_normal(total.shape[0], out=noise)
     noise *= sigma * clip_bound
     total += noise
     total /= batch_size
@@ -165,6 +171,7 @@ def dp_sgd_step(
     batch_S: list[TokenSequence],
     spec: PrivacySpec,
     noise: int | np.random.Generator,
+    workspace: lm.Workspace | None = None,
 ) -> LMParameters:
     """One private update on a batch of sensitive sequences.
 
@@ -172,31 +179,38 @@ def dp_sgd_step(
     BPTT factors; the noise is the same single draw as in
     :func:`noisy_clipped_mean`. ``noise`` may be an integer seed or a live
     generator; passing the same generator across steps realizes one
-    independent draw per step from a single stream.
+    independent draw per step from a single stream. Arrays come from
+    ``workspace``, or a fresh one.
     """
     if not batch_S:
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")
-    factors = lm.backprop(params, batch_S)
+    ws = lm.Workspace() if workspace is None else workspace
+    factors = lm.backprop(params, batch_S, ws)
     scales = scales_for_norms(factors.norms(), spec.clip_bound)
+    out = ws.theta_buffer(params)
     update_flat = _noisy_mean(
-        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma, _as_rng(noise)
+        factors.weighted_sum(scales, out), len(batch_S), spec.clip_bound, spec.sigma,
+        _as_rng(noise), ws.take("noise", out.shape),
     )
-    return lm.apply_update(params, update_flat, spec.eta)
+    return lm.apply_update(params, update_flat, spec.eta, out)
 
 
-def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float) -> LMParameters:
+def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float,
+                   workspace: lm.Workspace | None = None) -> LMParameters:
     """Ordinary SGD on the batch mean gradient.
 
     The same contraction as the private step with unit weights and no noise
     term, so the two coincide bit-for-bit when clipping is inactive and
-    sigma is zero.
+    sigma is zero. Arrays come from ``workspace``, or a fresh one.
     """
     if not batch:
         raise PrivacyError("plain_sgd_step requires a non-empty batch")
-    factors = lm.backprop(params, batch)
-    update_flat = factors.weighted_sum(np.ones(len(batch)))
+    ws = lm.Workspace() if workspace is None else workspace
+    factors = lm.backprop(params, batch, ws)
+    out = ws.theta_buffer(params)
+    update_flat = factors.weighted_sum(np.ones(len(batch)), out)
     update_flat /= len(batch)
-    return lm.apply_update(params, update_flat, eta)
+    return lm.apply_update(params, update_flat, eta, out)
 
 
 def gaussian_rdp_epsilon(sigma: float, alpha: float) -> float:

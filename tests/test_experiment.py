@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privlm import privacy, synth
+from privlm import attacks, detector, experiment, privacy, synth
 from privlm.cli import main as cli_main
 from privlm.detector import DetectorError, constant_detector
 from privlm.experiment import (
@@ -243,6 +243,66 @@ class TestTrainRun:
             assert bytes_a == bytes_b
         assert (out_a / "vocab.txt").read_bytes() == (out_b / "vocab.txt").read_bytes()
         assert (out_a / "canaries.txt").read_bytes() == (out_b / "canaries.txt").read_bytes()
+
+
+class TestBlasThreads:
+    """The verbs run BLAS on one thread and restore the caller's count, errors included."""
+
+    @pytest.fixture
+    def two_threads(self):
+        calls = experiment._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread calls are not found")
+        get, set_ = calls
+        set_(2)
+        try:
+            yield get
+        finally:
+            set_(1)
+
+    def recording(self, monkeypatch, module, name, get, fail=False):
+        seen, original = [], getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(get())
+            if fail:
+                raise RuntimeError("step failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return seen
+
+    def test_train_pins_one_thread(self, data_dir, tmp_path, monkeypatch, two_threads):
+        seen = self.recording(monkeypatch, privacy, "plain_sgd_step", two_threads)
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", epochs=1)
+        train(ExperimentConfig.from_file(cfg))
+        assert seen and set(seen) == {1}
+        assert two_threads() == 2
+        assert "blas_threads=1\n" in (tmp_path / "run" / "timing.txt").read_text()
+
+    def test_train_restores_the_count_on_error(self, data_dir, tmp_path, monkeypatch,
+                                               two_threads):
+        seen = self.recording(monkeypatch, privacy, "plain_sgd_step", two_threads, fail=True)
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", epochs=1)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(ExperimentConfig.from_file(cfg))
+        assert seen == [1]
+        assert two_threads() == 2
+
+    def test_attack_verbs_pin_one_thread(self, nodp_run, tmp_path, monkeypatch, two_threads):
+        run_dir = Path(shutil.copytree(nodp_run[0], tmp_path / "run"))
+        scored = self.recording(monkeypatch, attacks, "candidate_perplexities", two_threads)
+        audited = self.recording(monkeypatch, detector, "audit_context", two_threads)
+        run_attacks(run_dir / "manifest.json")
+        audit_manifest_context(run_dir / "manifest.json", "my bank security code is 31", 5, 0.5)
+        assert scored == [1] and audited == [1]
+        assert two_threads() == 2
+
+    def test_missing_library_pins_nothing(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "_openblas_threads", lambda: None)
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", epochs=1)
+        train(ExperimentConfig.from_file(cfg))
+        assert "blas_threads=unknown\n" in (tmp_path / "run" / "timing.txt").read_text()
 
 
 class TestRegimeDispatch:

@@ -250,6 +250,105 @@ class TestUpdateFormulas:
         want = params.theta - 0.3 * (total / len(seqs))
         assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_shared_workspace_equals_fresh_steps_bitwise(self, data):
+        params, _ = data.draw(lm_batches())
+        word = st.integers(0, params.vocab_size - 1)
+
+        def batch(sizes, lengths):
+            ns = data.draw(st.lists(st.integers(*lengths), min_size=sizes[0], max_size=sizes[1]))
+            return [TokenSequence(tuple(data.draw(st.lists(word, min_size=n, max_size=n))), "t")
+                    for n in ns]
+
+        # A long batch, then a short one in the prefix of its buffers, as cadp's
+        # small private steps follow its large plain ones; then B and T at random.
+        schedule = [batch((5, 8), (7, 9)), batch((1, 3), (2, 4))]
+        schedule += [batch((1, 8), (2, 9)) for _ in range(data.draw(st.integers(0, 4)))]
+        private = [data.draw(st.booleans()) for _ in schedule]
+        spec = PrivacySpec(sigma=data.draw(st.floats(0.1, 5.0)),
+                           clip_bound=data.draw(st.floats(0.01, 2.0)),
+                           delta=1e-5, alpha=2.0, eta=0.3)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+
+        def thetas(workspace):
+            rng, p, out = np.random.default_rng(seed), params, []
+            for seqs, is_private in zip(schedule, private):
+                if is_private:
+                    p = dp_sgd_step(p, seqs, spec, rng, workspace)
+                else:
+                    p = plain_sgd_step(p, seqs, spec.eta, workspace)
+                out.append(p.theta.copy())
+            return out
+
+        for got, want in zip(thetas(lm.Workspace()), thetas(None), strict=True):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000),
+           st.floats().filter(lambda x: x != 0.0))
+    def test_noise_drawn_into_a_used_buffer_bitwise(self, seed, size, fill):
+        buf = np.full(size, fill)
+        got = np.random.default_rng(seed).standard_normal(size, out=buf)
+        want = np.random.default_rng(seed).standard_normal(size)
+        assert got is buf
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestWorkspace:
+    def random_batch(self, rng, vocab, size, longest):
+        return [
+            TokenSequence(tuple(int(x) for x in rng.integers(0, vocab, size=n)), "t")
+            for n in rng.integers(2, longest + 1, size=size)
+        ]
+
+    def test_sized_workspace_keeps_every_buffer(self):
+        # Steps of every shape up to the constructor's bound take prefixes of
+        # its buffers, so no step allocates (or faults in) a fresh one.
+        vocab, B, longest = 30, 8, 9
+        params = lm.init_params(vocab, 5, 4, seed=0)
+        ws = lm.Workspace(params, B, longest)
+        before = {name: (buf, buf.ctypes.data) for name, buf in ws.buffers.items()}
+        rng = np.random.default_rng(0)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.1, delta=1e-5, alpha=2.0, eta=0.1)
+        full = [TokenSequence(tuple(range(longest)), "t")] * B
+        for k, size in enumerate([B, 1, 7, 2, B, 3, 5, 1]):
+            seqs = full if k == 0 else self.random_batch(rng, vocab, size, longest)
+            if k % 2 == 0:
+                params = dp_sgd_step(params, seqs, spec, rng, ws)
+            else:
+                params = plain_sgd_step(params, seqs, 0.1, ws)
+        assert ws.buffers.keys() == before.keys()
+        for name, (buf, address) in before.items():
+            assert ws.buffers[name] is buf and buf.ctypes.data == address, name
+
+    @pytest.mark.parametrize("private", [True, False])
+    def test_sized_workspace_step_allocates_no_parameter_vector(self, private):
+        # The sum, the noise and the new theta go to the workspace's (P,)
+        # buffers, so what a step still allocates stays below one P-vector.
+        V, B = 2000, 4
+        params = lm.init_params(V, 8, 8, seed=0)
+        ws = lm.Workspace(params, B, 8)
+        seqs = self.random_batch(np.random.default_rng(0), V, B, 8)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, delta=1e-5, alpha=2.0, eta=0.1)
+        if private:
+            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, 0, ws))
+        else:
+            peak = traced_peak(lambda: plain_sgd_step(params, seqs, 0.1, ws))
+        assert peak < params.theta.nbytes
+
+    def test_step_result_valid_until_the_step_after_next(self, tiny_params):
+        rng = np.random.default_rng(4)
+        ws = lm.Workspace()
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        first = plain_sgd_step(tiny_params, self.random_batch(rng, 6, 4, 6), 0.1, ws)
+        kept = first.theta.copy()
+        second = dp_sgd_step(first, self.random_batch(rng, 6, 2, 6), spec, 0, ws)
+        assert np.array_equal(first.theta.view(np.int64), kept.view(np.int64))
+        assert not np.shares_memory(second.theta, first.theta)
+        third = plain_sgd_step(second, self.random_batch(rng, 6, 3, 6), 0.1, ws)
+        assert np.shares_memory(third.theta, first.theta)
+
 
 class TestRdpAccounting:
     def test_closed_form_values(self):
