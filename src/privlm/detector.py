@@ -278,6 +278,10 @@ class DetectorModel:
             except ValueError:
                 raise DetectorError(f"{path}: detector {key}={kv[key]!r} is not a number") from None
         _check_dims(kv["char_dim"], kv["word_dim"], f"{path}: detector ")
+        if not 0.0 <= kv["gamma"] <= 1.0:
+            raise DetectorError(f"{path}: detector gamma must be in [0, 1], got {kv['gamma']}")
+        if not np.isfinite(kv["threshold"]):
+            raise DetectorError(f"{path}: detector threshold must be finite, got {kv['threshold']}")
         vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
         if vec.size != kv["char_dim"] + kv["word_dim"] + 1:
             raise DetectorError(f"{path}: weight vector has wrong size")

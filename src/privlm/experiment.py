@@ -204,6 +204,8 @@ class ExperimentConfig:
             raise ExperimentError("sdpsgd requires at least one 'secret_pattern'")
         if v["batch_size"] < 1:
             raise ExperimentError(f"batch_size must be >= 1, got {v['batch_size']}")
+        if v["epochs"] < 0:
+            raise ExperimentError(f"epochs must be >= 0, got {v['epochs']}")
         if v["mi_members"] not in ("sensitive", "all"):
             raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
@@ -335,13 +337,12 @@ def train(config: ExperimentConfig) -> dict:
     a private step's gradient norms or the validation loss go non-finite.
     """
     t_start = time.monotonic()
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "checkpoints").mkdir(exist_ok=True)
-
     det = None
     if config["regime"] == "cadp":
         det = detector_mod.DetectorModel.load(config["detector"])
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "checkpoints").mkdir(exist_ok=True)
 
     train_corpus, test_corpus, positions, planted_idx = prepare_data(config)
     vocab = train_corpus.vocabulary
@@ -385,11 +386,10 @@ def train(config: ExperimentConfig) -> dict:
 
     private_steps = 0
     diverged = False
-    longest = max(len(s) for s in train_corpus.sequences)
     for epoch in range(1, config["epochs"] + 1):
         # The steps' buffers live for one epoch: kept through validation and the
         # checkpoint, their pages would add to its peak memory.
-        workspace = lm.Workspace(params, config["batch_size"], longest)
+        workspace = lm.Workspace()
         try:
             for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
                 batch_s = [s for s in batch if flags[s.source_text]]

@@ -11,18 +11,13 @@ activations for the backward pass, while the scoring functions
 (``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
 step as it arrives and keep no activations.
 
-Training steps draw their large arrays from a ``Workspace``: named,
-grow-only float64 buffers that hand out C-contiguous prefix views, so a run
-whose steps change B and T from one step to the next (cadp alternates small
-private and large plain batches) reuses the same pages instead of faulting in
-fresh ones. ``backprop`` takes its (T, B, .) factor arrays z, h, delta, da and
-e and its (B, V) log-softmax ``exp`` scratch from it. The step functions in
-``privacy`` draw the noise into its (P,) ``noise`` buffer, and write the
-weighted sum, and then the new theta over it, into whichever of its two (P,)
-parameter buffers does not hold the old theta. So a step's factors live until
-the next ``backprop`` on the same workspace, and the theta a step returns is
-unchanged by the next step and valid until the one after. A call without a
-workspace builds a fresh one; the scoring functions keep their own buffers.
+Training steps give ``backprop`` a ``Workspace``: grow-only float64 buffers,
+handed out as C-contiguous prefix views, for the (T, B, .) factors z, h,
+delta, da and e and the (B, V) log-softmax ``exp`` scratch, so steps whose B
+and T vary (cadp alternates small private and large plain batches) reuse the
+same pages. The factors are valid until the next ``backprop`` on the same
+workspace. Every other array, the (P,) sums and thetas included, is fresh and
+belongs to the caller.
 
 Gradients are kept factored: ``backprop`` returns the per-step factors BPTT
 computes anyway (``GradientFactors``), of which each weight block of an
@@ -358,17 +353,15 @@ class GradientFactors:
         sq += np.square(self.delta.sum(axis=0)).sum(axis=1)
         return np.sqrt(sq)
 
-    def weighted_sum(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """sum_b w[b] * g_b as one flat (P,) vector: one gemm per weight block.
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_b w[b] * g_b as one fresh flat (P,) vector: one gemm per weight block.
 
         The weights scale the narrow factor (h, z, e) of each product, never
-        the (T, B, V) output errors. The sum is written to ``out`` (P,) when
-        given, else to a fresh vector, and returned.
+        the (T, B, V) output errors.
         """
         V, E, H = self.dims
         T, B = self.delta.shape[:2]
-        if out is None:
-            out = np.empty(_num_params(V, E, H))
+        out = np.empty(_num_params(V, E, H))
         g_emb, g_W, g_b, g_U, g_ob = _views(out, V, E, H)
         g_emb.fill(0.0)  # the gemms below overwrite every other block
         w3 = w[None, :, None]
@@ -380,32 +373,18 @@ class GradientFactors:
         return out
 
 
-def _backprop_shapes(V: int, E: int, H: int, B: int, T: int) -> dict[str, tuple[int, ...]]:
-    """The workspace arrays one ``backprop`` over B sequences and T steps takes."""
-    return {"z": (T, B, E + H), "h": (T, B, H), "delta": (T, B, V), "da": (T, B, 4 * H),
-            "e": (T, B, E), "exp": (B, V)}
-
-
 class Workspace:
-    """Named, grow-only float64 buffers for training steps, handed out as prefix views.
+    """Named, grow-only float64 buffers for ``backprop``, handed out as prefix views.
 
     ``take(name, shape)`` returns a C-contiguous view of the first
     prod(shape) entries of ``buffers[name]``, which is replaced by a larger
     buffer only when a request outgrows it; so steps of every shape up to the
     largest seen share the same memory. A view's contents last until its
-    name is taken again. Given the model, ``batch`` and ``max_len``, the constructor
-    allocates every buffer a training step takes, for batches of up to
-    ``batch`` sequences of up to ``max_len`` tokens.
+    name is taken again.
     """
 
-    def __init__(self, params: LMParameters | None = None, batch: int = 0, max_len: int = 0):
+    def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
-        if params is not None:
-            V, E, H = params.vocab_size, params.d_emb, params.d_hid
-            for name, shape in _backprop_shapes(V, E, H, batch, max_len - 1).items():
-                self.take(name, shape)
-            for name in ("noise", "theta0", "theta1"):
-                self.take(name, params.theta.shape)
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -413,13 +392,6 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = self.buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
-
-    def theta_buffer(self, params: LMParameters) -> np.ndarray:
-        """The one of the two (P,) parameter buffers that does not hold ``params.theta``."""
-        first = self.take("theta0", params.theta.shape)
-        if np.may_share_memory(first, params.theta):
-            return self.take("theta1", params.theta.shape)
-        return first
 
 
 def backprop(params: LMParameters, seqs: list[TokenSequence],
@@ -438,9 +410,11 @@ def backprop(params: LMParameters, seqs: list[TokenSequence],
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
     ws = Workspace() if workspace is None else workspace
-    zs, hs, delta, da_all, demb_all, exp_scratch = (
-        ws.take(name, shape) for name, shape in _backprop_shapes(V, E, H, B, T).items()
+    zs, hs, delta, da_all, demb_all = (
+        ws.take(name, (T, B, k)) for name, k in
+        (("z", E + H), ("h", H), ("delta", V), ("da", 4 * H), ("e", E))
     )
+    exp_scratch = ws.take("exp", (B, V))
 
     # Each step's log-probability table is computed in delta[t], where the
     # backward sweep overwrites it with that step's output error once the NLLs
@@ -507,23 +481,15 @@ def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[floa
     return float(factors.nlls[0]), factors.weighted_sum(np.ones(1))
 
 
-def apply_update(params: LMParameters, update: np.ndarray, eta: float,
-                 out: np.ndarray | None = None) -> LMParameters:
+def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:
     """Gradient-descent step: returns new parameters theta - eta * update.
 
-    The new theta is written to ``out`` (P,) when given, else to a fresh
-    vector. ``out`` may be ``update`` itself, but not overlap ``params.theta``,
-    which the subtraction still reads; ``params`` is never modified, nor is
-    ``update`` unless it is ``out``.
+    The new theta is a fresh vector; ``params`` and ``update`` are unchanged.
     """
     if update.shape != params.theta.shape:
         raise LMError(
             f"update shape {update.shape} does not match parameter shape {params.theta.shape}"
         )
-    if out is None:
-        out = np.empty_like(params.theta)
-    elif np.may_share_memory(out, params.theta):
-        raise LMError("apply_update's out overlaps params.theta, which it still has to read")
-    np.multiply(update, eta, out=out)
-    np.subtract(params.theta, out, out=out)
-    return LMParameters(out, params.vocab_size, params.d_emb, params.d_hid)
+    theta = np.multiply(update, eta)
+    np.subtract(params.theta, theta, out=theta)
+    return LMParameters(theta, params.vocab_size, params.d_emb, params.d_hid)

@@ -7,12 +7,10 @@ SGD step. Noise comes from a dedicated seeded stream, independent of data
 shuffling, so runs are bit-reproducible.
 
 The noise is drawn as P standard normals and scaled by sigma*C in place,
-which gives the bits of ``normal(0, sigma*C)``. Both steps take their arrays
-from an ``lm.Workspace`` (a fresh one when the caller passes none): the noise
-in its ``noise`` buffer, and the weighted sum, the added noise, the division
-by |B| and then the new theta in one parameter buffer, the one that does not
-hold the old theta. So the theta a step returns is valid until the step after
-next on the same workspace.
+which gives the bits of ``normal(0, sigma*C)``. Both steps run ``lm.backprop``
+on an ``lm.Workspace`` (a fresh one when the caller passes none), whose
+factors last until the next ``backprop`` on it; the theta a step returns is a
+fresh vector that later steps never touch.
 
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),
@@ -134,14 +132,11 @@ def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
 
 
 def _noisy_mean(total: np.ndarray, batch_size: int, clip_bound: float, sigma: float,
-                rng: np.random.Generator, noise: np.ndarray | None = None) -> np.ndarray:
-    """(total + one draw of N(0, (sigma*C)^2 I)) / batch_size, computed in ``total``.
-
-    The draw goes to ``noise`` when given, else to a fresh vector.
-    """
+                rng: np.random.Generator) -> np.ndarray:
+    """(total + one draw of N(0, (sigma*C)^2 I)) / batch_size, computed in ``total``."""
     # normal(0, s) computes 0.0 + s * z, so only an exact-zero product could
     # differ (in the sign of the zero).
-    noise = rng.standard_normal(total.shape[0], out=noise)
+    noise = rng.standard_normal(total.shape[0])
     noise *= sigma * clip_bound
     total += noise
     total /= batch_size
@@ -179,20 +174,17 @@ def dp_sgd_step(
     BPTT factors; the noise is the same single draw as in
     :func:`noisy_clipped_mean`. ``noise`` may be an integer seed or a live
     generator; passing the same generator across steps realizes one
-    independent draw per step from a single stream. Arrays come from
+    independent draw per step from a single stream. ``backprop`` runs on
     ``workspace``, or a fresh one.
     """
     if not batch_S:
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")
-    ws = lm.Workspace() if workspace is None else workspace
-    factors = lm.backprop(params, batch_S, ws)
+    factors = lm.backprop(params, batch_S, workspace)
     scales = scales_for_norms(factors.norms(), spec.clip_bound)
-    out = ws.theta_buffer(params)
     update_flat = _noisy_mean(
-        factors.weighted_sum(scales, out), len(batch_S), spec.clip_bound, spec.sigma,
-        _as_rng(noise), ws.take("noise", out.shape),
+        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma, _as_rng(noise)
     )
-    return lm.apply_update(params, update_flat, spec.eta, out)
+    return lm.apply_update(params, update_flat, spec.eta)
 
 
 def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float,
@@ -201,16 +193,14 @@ def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float,
 
     The same contraction as the private step with unit weights and no noise
     term, so the two coincide bit-for-bit when clipping is inactive and
-    sigma is zero. Arrays come from ``workspace``, or a fresh one.
+    sigma is zero. ``backprop`` runs on ``workspace``, or a fresh one.
     """
     if not batch:
         raise PrivacyError("plain_sgd_step requires a non-empty batch")
-    ws = lm.Workspace() if workspace is None else workspace
-    factors = lm.backprop(params, batch, ws)
-    out = ws.theta_buffer(params)
-    update_flat = factors.weighted_sum(np.ones(len(batch)), out)
+    factors = lm.backprop(params, batch, workspace)
+    update_flat = factors.weighted_sum(np.ones(len(batch)))
     update_flat /= len(batch)
-    return lm.apply_update(params, update_flat, eta, out)
+    return lm.apply_update(params, update_flat, eta)
 
 
 def gaussian_rdp_epsilon(sigma: float, alpha: float) -> float:

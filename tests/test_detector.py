@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ class TestClassify:
             bias=0.0, threshold=0.5, measured_gamma=1.0,
         ).save(path)
         with pytest.raises(DetectorError, match=rf"det\.bin: detector {field} must be >= 1"):
+            DetectorModel.load(path)
+
+    @pytest.mark.parametrize(
+        "threshold, gamma, message",
+        [(0.5, 1.5, "gamma must be in"), (0.5, -0.1, "gamma must be in"),
+         (0.5, math.nan, "gamma must be in"), (math.nan, 1.0, "threshold must be finite"),
+         (math.inf, 1.0, "threshold must be finite")],
+    )
+    def test_load_rejects_gamma_outside_unit_interval_or_nonfinite_threshold(
+        self, tmp_path, threshold, gamma, message
+    ):
+        path = tmp_path / "det.bin"
+        dataclasses.replace(constant_detector(True), threshold=threshold,
+                            measured_gamma=gamma).save(path)
+        with pytest.raises(DetectorError, match=rf"det\.bin: detector {message}"):
             DetectorModel.load(path)
 
 

@@ -129,6 +129,11 @@ class TestConfigParsing:
         with pytest.raises(ExperimentError, match="mi_members"):
             ExperimentConfig.from_file(cfg)
 
+    def test_negative_epochs_rejected(self, tmp_path, data_dir):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", epochs=-1)
+        with pytest.raises(ExperimentError, match="epochs must be >= 0"):
+            ExperimentConfig.from_file(cfg)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# a comment\n\nseeds = s.txt\nnegatives = n.txt\nout = d.bin\n",
@@ -361,6 +366,20 @@ class TestRegimeDispatch:
         assert checkpoint_bytes(results["dpsgd"]) == checkpoint_bytes(results["cadp_always"])
         # and the two families genuinely differ from each other
         assert checkpoint_bytes(results["nodp"]) != checkpoint_bytes(results["dpsgd"])
+
+    def test_zero_epochs_completes_without_epochs(self, data_dir, tmp_path):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", epochs=0)
+        manifest = train(ExperimentConfig.from_file(cfg))
+        assert manifest["status"] == "completed" and manifest["epochs"] == []
+
+    def test_cadp_with_bad_detector_gamma_writes_nothing(self, data_dir, tmp_path):
+        det = tmp_path / "det.bin"
+        dataclasses.replace(constant_detector(True), measured_gamma=1.5).save(det)
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run",
+                                 regime="cadp", epochs=1, detector=det)
+        with pytest.raises(DetectorError, match="gamma"):
+            train(ExperimentConfig.from_file(cfg))
+        assert not (tmp_path / "run").exists()
 
     def test_divergence_aborts_with_manifest(self, data_dir, tmp_path):
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run",

@@ -347,26 +347,6 @@ class TestApplyUpdate:
         want = theta - 0.2 * grad
         assert np.array_equal(updated.theta.view(np.int64), want.view(np.int64))
 
-    def test_out_may_be_the_update(self):
-        theta, grad = self.params.theta.copy(), self.grad.copy()
-        update = self.grad.copy()
-        updated = lm.apply_update(self.params, update, 0.2, out=update)
-        assert updated.theta is update
-        assert np.array_equal(self.params.theta, theta)
-        want = theta - 0.2 * grad
-        assert np.array_equal(updated.theta.view(np.int64), want.view(np.int64))
-
-    def test_out_overlapping_theta_rejected(self):
-        # The subtraction reads the old theta, so writing over it first is wrong.
-        with pytest.raises(LMError, match="overlaps"):
-            lm.apply_update(self.params, self.grad, 0.2, out=self.params.theta)
-        P = self.params.num_params
-        shared = np.concatenate([[0.0], self.params.theta])
-        offset = LMParameters(shared[1:], 8, 4, 4)
-        with pytest.raises(LMError, match="overlaps"):
-            lm.apply_update(offset, self.grad, 0.2, out=shared[:P])
-        assert np.array_equal(offset.theta, self.params.theta)
-
     def test_shape_mismatch_rejected(self):
         other = lm.init_params(9, 4, 4, seed=2)
         seq = TokenSequence(ids=(1, 2), source_text="t")

@@ -2,9 +2,10 @@
 
 perfbench/measure.py drives the package through its public entry points,
 checks every repetition's outputs and reads the results of traced calls in
-its span annotations. This runs the ``cadp_desk`` workload (training) and
-the ``audit_wide`` workload (attacks, detector retraining, context audit and
-report) in process, as
+its span annotations. This runs the ``dpsgd_desk`` and ``cadp_desk``
+workloads (training: every step private, and mixed private and plain steps)
+and the ``audit_wide`` workload (attacks, detector retraining, context audit
+and report) in process, as
 ``perfbench/run.py --workload <name> --seed 1 --seconds 0 --trace 1``
 would, with no timing gate.
 """
@@ -20,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("attacks", "corpus", "detector", "experiment", "lm", "privacy", "report", "synth")
 
 
-@pytest.mark.parametrize("workload", ["cadp_desk", "audit_wide"])
+@pytest.mark.parametrize("workload", ["dpsgd_desk", "cadp_desk", "audit_wide"])
 def test_traced_run(tmp_path, monkeypatch, workload):
     monkeypatch.chdir(ROOT)  # workload configs name package data relative to the checkout
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
