@@ -24,12 +24,20 @@ of trained weights and attack scores depend on it. ``train``, ``run_attacks``
 and ``audit_manifest_context`` therefore pin numpy's bundled OpenBLAS to one
 thread while they run and restore the previous count on every exit.
 
+Private steps draw their noise from one seeded stream, in step order. When
+some training line is flagged, ``train`` keeps one draw ahead on one worker
+thread: the worker draws the next private step's P standard normals while
+the current steps run, and it alone touches the generator, in submission
+order, so every step gets the bits of a serial draw. This costs one extra
+P-vector; the worker is joined before ``train`` returns or raises.
+
 Config files are flat ``key = value`` text; unknown keys are rejected. See
 the schemas below for every key and its default.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import dataclasses
@@ -202,10 +210,23 @@ class ExperimentConfig:
             raise ExperimentError("cadp requires a 'detector' checkpoint path")
         if v["regime"] == "sdpsgd" and not [p for p in v["secret_pattern"] if p]:
             raise ExperimentError("sdpsgd requires at least one 'secret_pattern'")
-        if v["batch_size"] < 1:
-            raise ExperimentError(f"batch_size must be >= 1, got {v['batch_size']}")
-        if v["epochs"] < 0:
-            raise ExperimentError(f"epochs must be >= 0, got {v['epochs']}")
+        # Checked here, before ``train`` creates the run directory (nan fails every rule).
+        ranges = {
+            "batch_size": (v["batch_size"] >= 1, ">= 1"),
+            "epochs": (v["epochs"] >= 0, ">= 0"),
+            "eta": (v["eta"] > 0, "> 0"),
+            "sigma": (v["sigma"] > 0, "> 0"),
+            "clip_bound": (v["clip_bound"] > 0, "> 0"),
+            "delta": (0 < v["delta"] < 1, "in (0, 1)"),
+            "rdp_alpha": (v["rdp_alpha"] > 1, "> 1"),
+            "d_emb": (v["d_emb"] >= 1, ">= 1"),
+            "d_hid": (v["d_hid"] >= 1, ">= 1"),
+            "train_fraction": (0 < v["train_fraction"] < 1, "in (0, 1)"),
+            "max_seq_len": (v["max_seq_len"] >= 2, ">= 2"),
+        }
+        for key, (ok, rule) in ranges.items():
+            if not ok:
+                raise ExperimentError(f"{key} must be {rule}, got {v[key]}")
         if v["mi_members"] not in ("sensitive", "all"):
             raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
@@ -386,37 +407,44 @@ def train(config: ExperimentConfig) -> dict:
 
     private_steps = 0
     diverged = False
-    for epoch in range(1, config["epochs"] + 1):
-        # The steps' buffers live for one epoch: kept through validation and the
-        # checkpoint, their pages would add to its peak memory.
-        workspace = lm.Workspace()
-        try:
-            for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
-                batch_s = [s for s in batch if flags[s.source_text]]
-                batch_ns = [s for s in batch if not flags[s.source_text]]
-                if batch_s:
-                    params = privacy.dp_sgd_step(params, batch_s, spec, noise_rng, workspace)
-                    private_steps += 1
-                if batch_ns:
-                    params = privacy.plain_sgd_step(params, batch_ns, config["eta"], workspace)
-        except privacy.NonFiniteGradient:
-            # A private step cannot clip an overflowed gradient, so it stops
-            # mid-epoch where a plain step would carry the inf/nan to the check below.
-            diverged = True
-            break
-        del workspace
-        if not np.isfinite(params.theta).all():
-            diverged = True
-            break
-        valid_ppl = lm.corpus_perplexity(params, test_corpus)
-        if not np.isfinite(valid_ppl):
-            diverged = True
-            break
-        ckpt = f"checkpoints/epoch_{epoch:03d}.ckpt"
-        params.save(out_dir / ckpt)
-        manifest["epochs"].append(
-            {"epoch": epoch, "valid_perplexity": valid_ppl, "checkpoint": ckpt}
-        )
+    # The noise worker draws the next private step's vector while this one runs;
+    # it starts no thread unless some training line is flagged.
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as noise_worker:
+        if sensitive_count:
+            pending = noise_worker.submit(noise_rng.standard_normal, params.theta.size)
+        for epoch in range(1, config["epochs"] + 1):
+            # The steps' buffers live for one epoch: kept through validation and the
+            # checkpoint, their pages would add to its peak memory.
+            workspace = lm.Workspace()
+            try:
+                for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
+                    batch_s = [s for s in batch if flags[s.source_text]]
+                    batch_ns = [s for s in batch if not flags[s.source_text]]
+                    if batch_s:
+                        noise = pending.result()
+                        pending = noise_worker.submit(noise_rng.standard_normal, noise.size)
+                        params = privacy.dp_sgd_step(params, batch_s, spec, noise, workspace)
+                        private_steps += 1
+                    if batch_ns:
+                        params = privacy.plain_sgd_step(params, batch_ns, config["eta"], workspace)
+            except privacy.NonFiniteGradient:
+                # A private step cannot clip an overflowed gradient, so it stops
+                # mid-epoch where a plain step would carry the inf/nan to the check below.
+                diverged = True
+                break
+            del workspace
+            if not np.isfinite(params.theta).all():
+                diverged = True
+                break
+            valid_ppl = lm.corpus_perplexity(params, test_corpus)
+            if not np.isfinite(valid_ppl):
+                diverged = True
+                break
+            ckpt = f"checkpoints/epoch_{epoch:03d}.ckpt"
+            params.save(out_dir / ckpt)
+            manifest["epochs"].append(
+                {"epoch": epoch, "valid_perplexity": valid_ppl, "checkpoint": ckpt}
+            )
 
     manifest["private_step_count"] = private_steps
     if config["regime"] != "nodp" and not diverged:

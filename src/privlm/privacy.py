@@ -6,11 +6,14 @@ draw with per-coordinate std sigma*C, divide by the batch size, and take an
 SGD step. Noise comes from a dedicated seeded stream, independent of data
 shuffling, so runs are bit-reproducible.
 
-The noise is drawn as P standard normals and scaled by sigma*C in place,
-which gives the bits of ``normal(0, sigma*C)``. Both steps run ``lm.backprop``
-on an ``lm.Workspace`` (a fresh one when the caller passes none), whose
-factors last until the next ``backprop`` on it; the theta a step returns is a
-fresh vector that later steps never touch.
+The noise is P standard normals scaled by sigma*C in place, which gives the
+bits of ``normal(0, sigma*C)``. ``dp_sgd_step`` draws them from a seed or a
+generator, or takes a (P,) draw made ahead by its caller: ``experiment.train``
+draws each private step's vector one step ahead on one worker thread, which
+holds one extra P-vector. Both steps run ``lm.backprop`` on an
+``lm.Workspace`` (a fresh one when the caller passes none), whose factors
+last until the next ``backprop`` on it; the theta a step returns is a fresh
+vector that later steps never touch.
 
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),
@@ -132,11 +135,10 @@ def clip_scales(stacked: np.ndarray, clip_bound: float) -> np.ndarray:
 
 
 def _noisy_mean(total: np.ndarray, batch_size: int, clip_bound: float, sigma: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """(total + one draw of N(0, (sigma*C)^2 I)) / batch_size, computed in ``total``."""
+                noise: np.ndarray) -> np.ndarray:
+    """(total + sigma*C * noise) / batch_size, computed in ``total`` and ``noise``."""
     # normal(0, s) computes 0.0 + s * z, so only an exact-zero product could
     # differ (in the sign of the zero).
-    noise = rng.standard_normal(total.shape[0])
     noise *= sigma * clip_bound
     total += noise
     total /= batch_size
@@ -152,37 +154,48 @@ def noisy_clipped_mean(
     once, so the result is an unbiased estimate of the clipped mean.
     """
     scales = clip_scales(stacked, clip_bound)
-    return _noisy_mean(scales @ stacked, stacked.shape[0], clip_bound, sigma, rng)
+    noise = rng.standard_normal(stacked.shape[1])
+    return _noisy_mean(scales @ stacked, stacked.shape[0], clip_bound, sigma, noise)
 
 
-def _as_rng(noise: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(noise, np.random.Generator):
+def _standard_normal(noise: int | np.random.Generator | np.ndarray, size: int) -> np.ndarray:
+    """A (size,) standard-normal draw: ``noise`` itself, or drawn from a seed or generator."""
+    if isinstance(noise, np.ndarray):
+        if noise.shape != (size,) or noise.dtype != np.float64:
+            raise PrivacyError(
+                f"noise draw must be ({size},) float64, got {noise.shape} {noise.dtype}"
+            )
         return noise
-    return np.random.default_rng(np.random.SeedSequence([int(noise)]))
+    if not isinstance(noise, np.random.Generator):
+        noise = np.random.default_rng(np.random.SeedSequence([int(noise)]))
+    return noise.standard_normal(size)
 
 
 def dp_sgd_step(
     params: LMParameters,
     batch_S: list[TokenSequence],
     spec: PrivacySpec,
-    noise: int | np.random.Generator,
+    noise: int | np.random.Generator | np.ndarray,
     workspace: lm.Workspace | None = None,
 ) -> LMParameters:
     """One private update on a batch of sensitive sequences.
 
     Clip scales come from the ghost norms and weight one contraction of the
     BPTT factors; the noise is the same single draw as in
-    :func:`noisy_clipped_mean`. ``noise`` may be an integer seed or a live
-    generator; passing the same generator across steps realizes one
-    independent draw per step from a single stream. ``backprop`` runs on
-    ``workspace``, or a fresh one.
+    :func:`noisy_clipped_mean`. ``noise`` may be an integer seed, a live
+    generator, or the step's (P,) float64 standard-normal draw, which the
+    step owns and scales in place (another shape or dtype raises
+    ``PrivacyError``). Passing the same generator, or its successive draws,
+    across steps realizes one independent draw per step from a single
+    stream. ``backprop`` runs on ``workspace``, or a fresh one.
     """
     if not batch_S:
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")
     factors = lm.backprop(params, batch_S, workspace)
     scales = scales_for_norms(factors.norms(), spec.clip_bound)
     update_flat = _noisy_mean(
-        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma, _as_rng(noise)
+        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma,
+        _standard_normal(noise, params.theta.size),
     )
     return lm.apply_update(params, update_flat, spec.eta)
 

@@ -1,9 +1,10 @@
-"""The BLAS thread pin, shared test helpers and strategies, and the acceptance-criterion summary reporter."""
+"""The BLAS thread pin, the leaked-thread check, shared test helpers and strategies, and the acceptance-criterion summary reporter."""
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,16 @@ from privlm.corpus import TokenSequence  # noqa: E402
 sys.path.insert(0, str(Path(__file__).parent))
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, str]] = {}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that ends with a thread it started still alive."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 def traced_peak(fn) -> int:

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import shutil
+import threading
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privlm import attacks, detector, experiment, privacy, synth
+from privlm import attacks, detector, experiment, lm, privacy, synth
 from privlm.cli import main as cli_main
+from privlm.corpus import TokenSequence
 from privlm.detector import DetectorError, constant_detector
 from privlm.experiment import (
     DETECTOR_SCHEMA,
@@ -133,6 +136,20 @@ class TestConfigParsing:
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", epochs=-1)
         with pytest.raises(ExperimentError, match="epochs must be >= 0"):
             ExperimentConfig.from_file(cfg)
+
+    @pytest.mark.parametrize("regime", ["nodp", "dpsgd"])
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", 0), ("clip_bound", -1), ("delta", 0), ("delta", 1), ("rdp_alpha", 1),
+        ("eta", 0), ("eta", -1), ("eta", "nan"), ("d_emb", 0), ("d_hid", 0),
+        ("train_fraction", 0), ("train_fraction", 1.0), ("max_seq_len", 1),
+    ])
+    def test_out_of_range_value_rejected_before_the_run_directory(self, tmp_path, data_dir,
+                                                                  regime, key, value):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", regime=regime,
+                                 **{key: value})
+        with pytest.raises(ExperimentError, match=f"^{key} must be"):
+            train(ExperimentConfig.from_file(cfg))
+        assert not (tmp_path / "o").exists()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -400,6 +417,86 @@ class TestRegimeDispatch:
         manifest = load_manifest(tmp_path / "run" / "manifest.json")
         assert manifest["status"] == "diverged"
         assert manifest["epochs"] == [] and manifest["audit"] is None
+
+
+class TestNoiseStream:
+    """Private steps get the seeded stream's draws in order, and no noise thread outlives train."""
+
+    def stream_config(self, tmp_path, data_dir, regime, **overrides):
+        if regime == "cadp":
+            # Random hashed-feature weights at their median score flag about half
+            # the lines, so private and plain steps alternate.
+            det = detector.DetectorModel(16, 16, np.random.default_rng(0).standard_normal(32),
+                                         0.0, 0.5, 1.0)
+            lines = Path(data_dir["corpus"]).read_text(encoding="utf-8").splitlines()
+            det.threshold = float(np.median(det.score_texts(lines)))
+            det.save(tmp_path / "det.bin")
+            overrides["detector"] = tmp_path / "det.bin"
+        return ExperimentConfig.from_file(
+            write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", regime=regime,
+                               **overrides))
+
+    def spy(self, monkeypatch, log, fail_at=None):
+        """Wrap both steps: log each call and the live thread count, copy each draw."""
+        draws, private, plain = [], privacy.dp_sgd_step, privacy.plain_sgd_step
+
+        def private_step(params, batch, spec, noise, workspace=None):
+            log.append(("private", threading.active_count()))
+            draws.append(np.array(noise, copy=True))
+            if len(draws) == fail_at:
+                raise RuntimeError("step failed")
+            return private(params, batch, spec, noise, workspace)
+
+        def plain_step(params, batch, eta, workspace=None):
+            log.append(("plain", threading.active_count()))
+            return plain(params, batch, eta, workspace)
+
+        monkeypatch.setattr(privacy, "dp_sgd_step", private_step)
+        monkeypatch.setattr(privacy, "plain_sgd_step", plain_step)
+        return draws
+
+    @pytest.mark.parametrize("regime", ["dpsgd", "cadp"])
+    def test_kth_private_step_gets_the_kth_draw(self, data_dir, tmp_path, monkeypatch, regime):
+        log = []
+        draws = self.spy(monkeypatch, log)
+        config = self.stream_config(tmp_path, data_dir, regime, seed_noise=11)
+        manifest = train(config)
+        assert len(manifest["epochs"]) == 2
+        kinds = "".join("s" if kind == "private" else "n" for kind, _ in log)
+        if regime == "cadp":
+            assert "sns" in kinds  # private and plain steps alternate
+        assert kinds.count("s") == manifest["private_step_count"] == len(draws) > 1
+        stream = np.random.default_rng(np.random.SeedSequence([11]))
+        for draw in draws:
+            assert draw.dtype == np.float64
+            assert draw.tobytes() == stream.standard_normal(draw.size).tobytes()
+
+    @pytest.mark.parametrize("regime, overrides, fail_at, raises", [
+        ("dpsgd", {}, None, None),
+        ("dpsgd", {"eta": 1e300, "clip_bound": 1.0}, None, TrainingDiverged),
+        ("dpsgd", {}, 3, RuntimeError),
+        ("nodp", {}, None, None),
+    ], ids=["completes", "diverges", "step raises", "nodp"])
+    def test_no_thread_outlives_train(self, data_dir, tmp_path, monkeypatch,
+                                      regime, overrides, fail_at, raises):
+        config = self.stream_config(tmp_path, data_dir, regime, **overrides)
+        log = []
+        self.spy(monkeypatch, log, fail_at)
+        before = threading.active_count()
+        with np.errstate(all="ignore"), pytest.raises(raises) if raises else nullcontext():
+            train(config)
+        assert threading.active_count() == before
+        # One noise worker runs during a private run's steps, none during a plain run's.
+        assert {count for _, count in log} == {before + (regime != "nodp")}
+
+    def test_draw_of_the_wrong_shape_or_dtype_rejected(self):
+        params = lm.init_params(5, 2, 2, seed=0)
+        batch = [TokenSequence((1, 2, 3), "t")]
+        spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        P = params.num_params
+        for bad in (np.zeros(P - 1), np.zeros(P + 1), np.zeros((1, P)), np.zeros(P, np.float32)):
+            with pytest.raises(privacy.PrivacyError, match="noise draw must be"):
+                privacy.dp_sgd_step(params, batch, spec, bad)
 
 
 class TestPairedCanaryExposure:

@@ -234,12 +234,15 @@ class TestUpdateFormulas:
     def test_dp_sgd_step_bitwise(self, batch, sigma, clip, seed):
         params, seqs = batch
         spec = PrivacySpec(sigma=sigma, clip_bound=clip, delta=1e-5, alpha=2.0, eta=0.3)
-        got = dp_sgd_step(params, seqs, spec, np.random.default_rng(seed))
         factors = lm.backprop(params, seqs)
         total = factors.weighted_sum(privacy.scales_for_norms(factors.norms(), clip))
         noise = np.random.default_rng(seed).normal(0.0, sigma * clip, params.num_params)
         want = params.theta - spec.eta * ((total + noise) / len(seqs))
-        assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
+        # A live generator, and the same generator's draw made ahead of the step.
+        for form in (np.random.default_rng(seed),
+                     np.random.default_rng(seed).standard_normal(params.num_params)):
+            got = dp_sgd_step(params, seqs, spec, form)
+            assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=40, deadline=None)
     @given(lm_batches())
