@@ -61,6 +61,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return self.size
 
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """Every token, in id order."""
+        return tuple(self._id_to_token)
+
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
@@ -307,15 +312,34 @@ def extend_vocabulary_for_template(
     space, so every fill must be a real vocabulary entry; otherwise unseen
     fills collapse onto the unknown token and ranks degenerate.
     """
-    if template.candidate_space_size > cap:
-        raise CorpusError(
-            f"candidate space {template.candidate_space_size} exceeds enumeration cap {cap}"
-        )
+    _check_space(template, cap)
     for tok in tokenize(template.prefix):
         vocabulary.add(tok)
     for fill in template.fills():
         if fill:
             vocabulary.add(fill)
+
+
+def _check_space(template: CanaryTemplate, cap: int) -> None:
+    if template.candidate_space_size > cap:
+        raise CorpusError(
+            f"candidate space {template.candidate_space_size} exceeds enumeration cap {cap}"
+        )
+
+
+def canary_sentence(template: CanaryTemplate, fill: str, max_len: int) -> str:
+    """The canary ``plant_canary`` plants, after every check it makes before planting.
+
+    ``fill`` must be in the slot space, the space within the enumeration cap,
+    and the sentence at most ``max_len`` tokens, since truncating it could
+    cut off the secret the attacks rank.
+    """
+    _check_space(template, DEFAULT_ENUMERATION_CAP)
+    sentence = template.sentence(fill)
+    n_tokens = len(tokenize(sentence))
+    if n_tokens > max_len:
+        raise CorpusError(f"canary {sentence!r} has {n_tokens} tokens, more than max_len {max_len}")
+    return sentence
 
 
 def plant_canary(
@@ -332,16 +356,12 @@ def plant_canary(
     of the planted copies. The vocabulary is extended with the prefix tokens
     and the full fill space, also when ``count`` is 0, so that a control run
     without planted copies can still score every candidate fill. Planted
-    sequences are labeled sensitive when the corpus carries labels. A canary
-    of more than ``max_len`` tokens is rejected, since truncating it could cut
-    off the secret the attacks rank.
+    sequences are labeled sensitive when the corpus carries labels. The
+    canary is checked by :func:`canary_sentence`.
     """
     if count < 0:
         raise CorpusError("count must be >= 0")
-    sentence = template.sentence(fill)
-    n_tokens = len(tokenize(sentence))
-    if n_tokens > max_len:
-        raise CorpusError(f"canary {sentence!r} has {n_tokens} tokens, more than max_len {max_len}")
+    sentence = canary_sentence(template, fill, max_len)
     extend_vocabulary_for_template(corpus.vocabulary, template)
     if count == 0:
         labels = list(corpus.labels) if corpus.labels is not None else None

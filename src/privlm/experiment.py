@@ -20,16 +20,26 @@ the timing sidecar only, so the manifest itself is identical across reruns of
 the same config.
 
 Batched matrix products sum in blocks set by BLAS's thread count, so the bits
-of trained weights and attack scores depend on it. ``train``, ``run_attacks``
-and ``audit_manifest_context`` therefore pin numpy's bundled OpenBLAS to one
-thread while they run and restore the previous count on every exit.
+of trained weights and attack scores depend on it. ``train``, ``run_attacks``,
+``audit_manifest_context`` and ``train_detector_from_config`` therefore pin
+numpy's bundled OpenBLAS to one thread while they run and restore the
+previous count on every exit.
 
 Private steps draw their noise from one seeded stream, in step order. When
 some training line is flagged, ``train`` keeps one draw ahead on one worker
 thread: the worker draws the next private step's P standard normals while
 the current steps run, and it alone touches the generator, in submission
-order, so every step gets the bits of a serial draw. This costs one extra
-P-vector; the worker is joined before ``train`` returns or raises.
+order, so every step gets the bits of a serial draw. The draws go into two
+P-length buffers that the worker fills in turn, one for the running step
+and one for the next; the worker is joined before ``train`` returns or
+raises.
+
+Training memory. Each step allocates one P-length vector, its weighted sum,
+which becomes the theta it returns (see ``privacy``), so a step holds the
+old and the new theta and nothing P-sized besides the two noise buffers.
+Each epoch's ``lm.Workspace`` is sized before its first step for
+``batch_size`` and the longest training line, so no step replaces one of
+its buffers and no freed buffer stays resident into the next epoch.
 
 Config files are flat ``key = value`` text; unknown keys are rejected. See
 the schemas below for every key and its default.
@@ -42,6 +52,7 @@ import contextlib
 import ctypes
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import time
@@ -56,8 +67,10 @@ from . import lm, privacy
 from .corpus import (
     CanaryTemplate,
     Corpus,
+    CorpusError,
     TokenSequence,
     Vocabulary,
+    canary_sentence,
     enumerate_canaries,
     load_corpus,
     minibatches,
@@ -223,6 +236,7 @@ class ExperimentConfig:
             "d_hid": (v["d_hid"] >= 1, ">= 1"),
             "train_fraction": (0 < v["train_fraction"] < 1, "in (0, 1)"),
             "max_seq_len": (v["max_seq_len"] >= 2, ">= 2"),
+            "canary_count": (v["canary_count"] >= 0, ">= 0"),
         }
         for key, (ok, rule) in ranges.items():
             if not ok:
@@ -233,6 +247,11 @@ class ExperimentConfig:
             raise ExperimentError("canary planting requires 'canary_fill'")
         if not v["canary_prefix"] and (v["canary_fill"] or v["canary_count"]):
             raise ExperimentError("canary_fill and canary_count need a 'canary_prefix'")
+        if v["canary_prefix"]:
+            try:
+                canary_sentence(_template_from_config(self), v["canary_fill"], v["max_seq_len"])
+            except CorpusError as exc:
+                raise ExperimentError(f"invalid canary settings: {exc}") from exc
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -407,22 +426,26 @@ def train(config: ExperimentConfig) -> dict:
 
     private_steps = 0
     diverged = False
-    # The noise worker draws the next private step's vector while this one runs;
+    longest = max(len(s) for s in train_corpus.sequences) - 1
+    # The noise worker fills the next private step's buffer while this one runs;
     # it starts no thread unless some training line is flagged.
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as noise_worker:
         if sensitive_count:
-            pending = noise_worker.submit(noise_rng.standard_normal, params.theta.size)
+            draws = [np.empty(params.theta.size), np.empty(params.theta.size)]
+            pending = noise_worker.submit(noise_rng.standard_normal, out=draws[0])
         for epoch in range(1, config["epochs"] + 1):
             # The steps' buffers live for one epoch: kept through validation and the
             # checkpoint, their pages would add to its peak memory.
             workspace = lm.Workspace()
+            workspace.reserve(params, config["batch_size"], longest)
             try:
                 for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
                     batch_s = [s for s in batch if flags[s.source_text]]
                     batch_ns = [s for s in batch if not flags[s.source_text]]
                     if batch_s:
                         noise = pending.result()
-                        pending = noise_worker.submit(noise_rng.standard_normal, noise.size)
+                        draws.reverse()  # the other buffer, whose step is done
+                        pending = noise_worker.submit(noise_rng.standard_normal, out=draws[0])
                         params = privacy.dp_sgd_step(params, batch_s, spec, noise, workspace)
                         private_steps += 1
                     if batch_ns:
@@ -550,6 +573,17 @@ def run_attacks(
             "no labels file; set labels or use mi_members = all"
         )
     train_corpus, test_corpus, _, planted_index = prepare_data(config)
+    # The MI pools are encoded under the rebuilt vocabulary, the checkpoint under vocab.txt.
+    if vocab.tokens != train_corpus.vocabulary.tokens:
+        tid, was, now = next(
+            (tid, was, now) for tid, (was, now) in
+            enumerate(itertools.zip_longest(vocab.tokens, train_corpus.vocabulary.tokens))
+            if was != now
+        )
+        raise ExperimentError(
+            f"the corpus no longer rebuilds the run's vocabulary: id {tid} is {was!r} in "
+            f"vocab.txt but {now!r} from the corpus"
+        )
     if planted_index is None:
         raise ExperimentError("attacks need a planted canary; the run's config has no canary_prefix")
     template = _template_from_config(config)
@@ -617,6 +651,7 @@ def audit_manifest_context(
 # Detector training from a config file
 # --------------------------------------------------------------------------
 
+@_one_blas_thread()
 def train_detector_from_config(path: str | Path) -> tuple[detector_mod.DetectorModel, dict]:
     """Train and save a detector per a DETECTOR_SCHEMA config file."""
     cfgv = parse_config_file(path, DETECTOR_SCHEMA)

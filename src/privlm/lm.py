@@ -15,9 +15,12 @@ Training steps give ``backprop`` a ``Workspace``: grow-only float64 buffers,
 handed out as C-contiguous prefix views, for the (T, B, .) factors z, h,
 delta, da and e and the (B, V) log-softmax ``exp`` scratch, so steps whose B
 and T vary (cadp alternates small private and large plain batches) reuse the
-same pages. The factors are valid until the next ``backprop`` on the same
-workspace. Every other array, the (P,) sums and thetas included, is fresh and
-belongs to the caller.
+same pages. ``Workspace.reserve`` sizes them once for the largest batch, so
+no buffer is replaced while it is in use. The factors are valid until the
+next ``backprop`` on the same workspace. Every other array is fresh and
+belongs to the caller. ``apply_update`` computes the new theta in the buffer
+of the update it is given, so a training step's weighted sum becomes the
+theta it returns and the step holds no third P-length vector.
 
 Gradients are kept factored: ``backprop`` returns the per-step factors BPTT
 computes anyway (``GradientFactors``), of which each weight block of an
@@ -126,8 +129,10 @@ class LMParameters:
         return self.theta.size
 
     def save(self, path: str | Path) -> None:
-        header = CHECKPOINT_MAGIC + _DIMS.pack(self.vocab_size, self.d_emb, self.d_hid)
-        Path(path).write_bytes(header + self.theta.astype("<f8").tobytes())
+        # theta's bytes go to the file as they are, without a bytes copy.
+        with Path(path).open("wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + _DIMS.pack(self.vocab_size, self.d_emb, self.d_hid))
+            fh.write(np.ascontiguousarray(self.theta, dtype="<f8"))
 
     @classmethod
     def load(cls, path: str | Path, expect_vocab: int | None = None) -> "LMParameters":
@@ -393,6 +398,22 @@ class Workspace:
             buf = self.buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
+    def reserve(self, params: LMParameters, batch_size: int, steps: int) -> None:
+        """Size every buffer for ``backprop`` batches of up to ``batch_size`` x ``steps``.
+
+        Later steps within those bounds replace no buffer, and the pages of a
+        large buffer that no step touches are never faulted in.
+        """
+        for name, shape in _factor_shapes(params, batch_size, steps).items():
+            self.take(name, shape)
+
+
+def _factor_shapes(params: LMParameters, B: int, T: int) -> dict[str, tuple[int, ...]]:
+    """``backprop``'s workspace requests for a (B, T) batch, in the order it takes them."""
+    V, E, H = params.vocab_size, params.d_emb, params.d_hid
+    return {"z": (T, B, E + H), "h": (T, B, H), "delta": (T, B, V), "da": (T, B, 4 * H),
+            "e": (T, B, E), "exp": (B, V)}
+
 
 def backprop(params: LMParameters, seqs: list[TokenSequence],
              workspace: Workspace | None = None) -> GradientFactors:
@@ -410,11 +431,9 @@ def backprop(params: LMParameters, seqs: list[TokenSequence],
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
     ws = Workspace() if workspace is None else workspace
-    zs, hs, delta, da_all, demb_all = (
-        ws.take(name, (T, B, k)) for name, k in
-        (("z", E + H), ("h", H), ("delta", V), ("da", 4 * H), ("e", E))
+    zs, hs, delta, da_all, demb_all, exp_scratch = (
+        ws.take(name, shape) for name, shape in _factor_shapes(params, B, T).items()
     )
-    exp_scratch = ws.take("exp", (B, V))
 
     # Each step's log-probability table is computed in delta[t], where the
     # backward sweep overwrites it with that step's output error once the NLLs
@@ -484,12 +503,18 @@ def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[floa
 def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:
     """Gradient-descent step: returns new parameters theta - eta * update.
 
-    The new theta is a fresh vector; ``params`` and ``update`` are unchanged.
+    The new theta is computed in ``update``'s own buffer, which the returned
+    parameters then own, so a step allocates no P-length vector beyond its
+    update; ``params`` is unchanged. An ``update`` that may share memory with
+    ``params.theta`` raises ``LMError``.
     """
-    if update.shape != params.theta.shape:
+    if update.shape != params.theta.shape or update.dtype != np.float64:
         raise LMError(
-            f"update shape {update.shape} does not match parameter shape {params.theta.shape}"
+            f"update must be float64 of shape {params.theta.shape}, "
+            f"got {update.dtype} of shape {update.shape}"
         )
-    theta = np.multiply(update, eta)
-    np.subtract(params.theta, theta, out=theta)
-    return LMParameters(theta, params.vocab_size, params.d_emb, params.d_hid)
+    if np.may_share_memory(update, params.theta):
+        raise LMError("update shares memory with the parameters it updates")
+    np.multiply(update, eta, out=update)
+    np.subtract(params.theta, update, out=update)
+    return LMParameters(update, params.vocab_size, params.d_emb, params.d_hid)

@@ -9,11 +9,12 @@ shuffling, so runs are bit-reproducible.
 The noise is P standard normals scaled by sigma*C in place, which gives the
 bits of ``normal(0, sigma*C)``. ``dp_sgd_step`` draws them from a seed or a
 generator, or takes a (P,) draw made ahead by its caller: ``experiment.train``
-draws each private step's vector one step ahead on one worker thread, which
-holds one extra P-vector. Both steps run ``lm.backprop`` on an
+draws each private step's vector one step ahead on one worker thread, into
+two P-length buffers it fills in turn. Both steps run ``lm.backprop`` on an
 ``lm.Workspace`` (a fresh one when the caller passes none), whose factors
-last until the next ``backprop`` on it; the theta a step returns is a fresh
-vector that later steps never touch.
+last until the next ``backprop`` on it. Each step allocates one P-length
+vector, its weighted sum, and ``lm.apply_update`` turns that sum into the
+theta the step returns, in place; later steps never touch it.
 
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),
@@ -184,10 +185,10 @@ def dp_sgd_step(
     BPTT factors; the noise is the same single draw as in
     :func:`noisy_clipped_mean`. ``noise`` may be an integer seed, a live
     generator, or the step's (P,) float64 standard-normal draw, which the
-    step owns and scales in place (another shape or dtype raises
-    ``PrivacyError``). Passing the same generator, or its successive draws,
-    across steps realizes one independent draw per step from a single
-    stream. ``backprop`` runs on ``workspace``, or a fresh one.
+    step scales in place and does not keep, so its caller may refill it for
+    a later step (another shape or dtype raises ``PrivacyError``). Passing
+    the same generator, or its successive draws, across steps realizes one
+    independent draw per step from a single stream. ``backprop`` runs on ``workspace``, or a fresh one.
     """
     if not batch_S:
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")

@@ -8,12 +8,17 @@ terminal summary.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import privlm
 from privlm import lm, privacy, synth
 from privlm.attacks import membership_inference, build_mi_dataset
 from privlm.corpus import TokenSequence
@@ -528,3 +533,40 @@ def test_criterion_10_rerun_determinism(small_data, tmp_path):
     )
     _check(10, "train/attack/report rerun reproduces byte-identical outputs",
            files_ok and report_ok)
+
+
+def test_criterion_10_cli_train_without_blas_variables(small_data, tmp_path, monkeypatch):
+    """``privlm train`` pins BLAS itself: with no thread variable in its environment,
+    two CLI runs reproduce each other and the in-process run byte for byte."""
+    # At d=64 some of the step's products are large enough for OpenBLAS to
+    # split across threads, which changes the trained bits on a multi-core host.
+    values = dict(_small_config(small_data["paths"], "run", "dpsgd", epochs=2).values,
+                  d_emb=64, d_hid=64)
+    lines = []
+    for key, value in values.items():
+        for item in value if isinstance(value, list) else [value]:
+            lines.append(f"{key} = {str(item).lower() if isinstance(item, bool) else item}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def outputs(cwd):
+        run = cwd / "run"
+        manifest = json.loads((run / "manifest.json").read_text())
+        final = run / manifest["epochs"][-1]["checkpoint"]
+        return (run / "manifest.json").read_bytes(), final.read_bytes()
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(privlm.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for name in ("cli_a", "cli_b"):
+        (tmp_path / name).mkdir()
+        subprocess.run([sys.executable, "-m", "privlm.cli", "train", "--config", str(cfg)],
+                       cwd=tmp_path / name, env=env, check=True, capture_output=True)
+        runs.append(outputs(tmp_path / name))
+    (tmp_path / "pinned").mkdir()
+    monkeypatch.chdir(tmp_path / "pinned")
+    train(ExperimentConfig.from_file(cfg))
+    runs.append(outputs(tmp_path / "pinned"))
+    assert runs[0] == runs[1] == runs[2]

@@ -151,6 +151,26 @@ class TestConfigParsing:
             train(ExperimentConfig.from_file(cfg))
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("regime", ["nodp", "dpsgd"])
+    @pytest.mark.parametrize("overrides, match", [
+        ({"canary_count": -1}, "canary_count must be >= 0"),
+        ({"canary_slot_count": -1}, "slot_count"),
+        ({"canary_slot_alphabet": "112"}, "duplicate"),
+        ({"canary_slot_alphabet": "AB", "canary_fill": "AB"}, "lower-case"),
+        ({"canary_fill": "44"}, "slot space"),
+        ({"canary_fill": "312"}, "slot space"),
+        ({"canary_prefix": "a b c d e f g", "max_seq_len": 6}, "max_len"),
+        ({"canary_slot_alphabet": "123456789", "canary_slot_count": 5, "canary_fill": "12345"},
+         "enumeration cap"),
+    ])
+    def test_bad_canary_rejected_before_the_run_directory(self, tmp_path, data_dir, regime,
+                                                         overrides, match):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", regime=regime,
+                                 **overrides)
+        with pytest.raises(ExperimentError, match=match):
+            train(ExperimentConfig.from_file(cfg))
+        assert not (tmp_path / "o").exists()
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# a comment\n\nseeds = s.txt\nnegatives = n.txt\nout = d.bin\n",
@@ -229,6 +249,22 @@ class TestTrainRun:
         run_dir, _ = nodp_run
         with pytest.raises(ExperimentError, match="no checkpoint"):
             run_attacks(run_dir / "manifest.json", checkpoint_epoch=99)
+
+    def test_attack_rejects_a_corpus_that_changed_the_vocabulary(self, data_dir, tmp_path):
+        # Prepending lines reorders the frequency-sorted vocabulary, so the MI
+        # pools would be encoded under ids the checkpoint was not trained on.
+        corpus, labels = tmp_path / "corpus.txt", tmp_path / "labels.txt"
+        shutil.copy(data_dir["corpus"], corpus)
+        shutil.copy(data_dir["labels"], labels)
+        cfg = write_train_config(tmp_path / "c.cfg", {"corpus": corpus, "labels": labels},
+                                 tmp_path / "run", epochs=1)
+        train(ExperimentConfig.from_file(cfg))
+        run_attacks(tmp_path / "run" / "manifest.json")
+        for path in (corpus, labels):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n".join(lines[-30:] + lines) + "\n", encoding="utf-8")
+        with pytest.raises(ExperimentError, match=r"no longer rebuilds the run's vocabulary: id \d+"):
+            run_attacks(tmp_path / "run" / "manifest.json")
 
     def test_sensitive_members_without_labels_rejected(self, data_dir, tmp_path):
         cfg = write_train_config(tmp_path / "run.cfg", data_dir, tmp_path / "run",
@@ -318,6 +354,19 @@ class TestBlasThreads:
         run_attacks(run_dir / "manifest.json")
         audit_manifest_context(run_dir / "manifest.json", "my bank security code is 31", 5, 0.5)
         assert scored == [1] and audited == [1]
+        assert two_threads() == 2
+
+    def test_detector_verb_pins_one_thread(self, data_dir, tmp_path, monkeypatch, two_threads):
+        trained = self.recording(monkeypatch, detector, "train_detector", two_threads)
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(
+            f"seeds = {data_dir['seeds']}\nnegatives = {data_dir['negatives']}\n"
+            f"variants_per_seed = 2\nepochs = 5\nchar_dim = 64\nword_dim = 32\n"
+            f"out = {tmp_path / 'det.bin'}\n",
+            encoding="utf-8",
+        )
+        train_detector_from_config(cfg)
+        assert trained == [1]
         assert two_threads() == 2
 
     def test_missing_library_pins_nothing(self, data_dir, tmp_path, monkeypatch):
@@ -488,6 +537,66 @@ class TestNoiseStream:
         assert threading.active_count() == before
         # One noise worker runs during a private run's steps, none during a plain run's.
         assert {count for _, count in log} == {before + (regime != "nodp")}
+
+    @pytest.mark.parametrize("regime", ["dpsgd", "cadp"])
+    def test_draws_fill_two_buffers_in_turn(self, data_dir, tmp_path, monkeypatch, regime):
+        config = self.stream_config(tmp_path, data_dir, regime)
+        fills, real_rng = [], np.random.default_rng
+
+        class Recording:
+            """A generator that records the ``out`` of every standard-normal draw."""
+
+            def __init__(self, *args, **kwargs):
+                self.rng = real_rng(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                fills.append(kwargs.get("out"))
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        draws, private = [], privacy.dp_sgd_step
+
+        def private_step(params, batch, spec, noise, workspace=None):
+            draws.append(noise)
+            return private(params, batch, spec, noise, workspace)
+
+        monkeypatch.setattr(privacy, "dp_sgd_step", private_step)
+        manifest = train(config)
+        P = lm.init_params(manifest["vocab_size"], 16, 16, 0).num_params
+        # One draw per private step and one made ahead, each into a (P,) buffer.
+        assert len(fills) == manifest["private_step_count"] + 1 == len(draws) + 1 > 2
+        assert all(isinstance(out, np.ndarray) and out.shape == (P,) for out in fills)
+        assert len({out.ctypes.data for out in fills}) == 2
+        assert [d.ctypes.data for d in draws] == [out.ctypes.data for out in fills[:-1]]
+        assert all(a is not b for a, b in zip(draws, draws[1:]))
+
+    @pytest.mark.parametrize("regime", ["dpsgd", "cadp"])
+    def test_each_epoch_workspace_sized_before_its_first_step(self, data_dir, tmp_path,
+                                                              monkeypatch, regime):
+        config = self.stream_config(tmp_path, data_dir, regime)
+        seen = []  # (workspace, {name: buffer}) at every step
+        private, plain = privacy.dp_sgd_step, privacy.plain_sgd_step
+
+        def private_step(params, batch, spec, noise, workspace=None):
+            seen.append((workspace, dict(workspace.buffers)))
+            return private(params, batch, spec, noise, workspace)
+
+        def plain_step(params, batch, eta, workspace=None):
+            seen.append((workspace, dict(workspace.buffers)))
+            return plain(params, batch, eta, workspace)
+
+        monkeypatch.setattr(privacy, "dp_sgd_step", private_step)
+        monkeypatch.setattr(privacy, "plain_sgd_step", plain_step)
+        train(config)
+        first = {}
+        for workspace, buffers in seen:
+            assert buffers.keys() == {"z", "h", "delta", "da", "e", "exp"}
+            first.setdefault(id(workspace), buffers)
+            assert all(buffers[name] is buf for name, buf in first[id(workspace)].items())
+        assert len(first) == config["epochs"]
 
     def test_draw_of_the_wrong_shape_or_dtype_rejected(self):
         params = lm.init_params(5, 2, 2, seed=0)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -332,20 +333,31 @@ class TestApplyUpdate:
         assert np.array_equal(updated.theta, self.params.theta)
 
     def test_two_half_steps_equal_one_full_step(self):
-        one = lm.apply_update(self.params, self.grad, 0.2)
-        half = lm.apply_update(self.params, self.grad, 0.1)
-        two = lm.apply_update(half, self.grad, 0.1)
+        # Each call computes its theta in the update it is given, so each gets a copy.
+        one = lm.apply_update(self.params, self.grad.copy(), 0.2)
+        half = lm.apply_update(self.params, self.grad.copy(), 0.1)
+        two = lm.apply_update(half, self.grad.copy(), 0.1)
         assert np.allclose(one.theta, two.theta, rtol=0, atol=1e-15)
 
-    def test_inputs_unchanged(self):
+    def test_theta_in_the_update_buffer_params_unchanged(self):
         theta, grad = self.params.theta.copy(), self.grad.copy()
         updated = lm.apply_update(self.params, self.grad, 0.2)
-        assert np.array_equal(self.params.theta, theta)
-        assert np.array_equal(self.grad, grad)
-        assert not np.shares_memory(updated.theta, self.grad)
+        assert np.array_equal(self.params.theta.view(np.int64), theta.view(np.int64))
+        assert updated.theta is self.grad
         assert not np.shares_memory(updated.theta, self.params.theta)
         want = theta - 0.2 * grad
         assert np.array_equal(updated.theta.view(np.int64), want.view(np.int64))
+
+    def test_aliased_update_rejected(self):
+        theta = self.params.theta.copy()
+        for aliased in (self.params.theta, self.params.theta[::-1], self.params.theta[:]):
+            with pytest.raises(LMError, match="shares memory"):
+                lm.apply_update(self.params, aliased, 0.2)
+        assert np.array_equal(self.params.theta.view(np.int64), theta.view(np.int64))
+
+    def test_non_float64_update_rejected(self):
+        with pytest.raises(LMError, match="float64"):
+            lm.apply_update(self.params, self.grad.astype(np.float32), 0.2)
 
     def test_shape_mismatch_rejected(self):
         other = lm.init_params(9, 4, 4, seed=2)
@@ -384,6 +396,20 @@ class TestCheckpoint:
         loaded = LMParameters.load(path)
         assert np.array_equal(params.theta, loaded.theta)
 
+    def test_body_is_theta_little_endian(self, tmp_path):
+        params = lm.init_params(13, 6, 5, seed=8)
+        path = tmp_path / "model.ckpt"
+        params.save(path)
+        header = b"CADPLM1" + struct.pack("<III", 13, 6, 5)
+        assert path.read_bytes() == header + params.theta.astype("<f8").tobytes()
+
+    def test_save_copies_no_parameter_vector(self, tmp_path):
+        # theta's bytes are written from the array itself: a bytes copy of the
+        # body (and of header + body) would read 1-2 P-vectors.
+        params = lm.init_params(2000, 64, 64, seed=0)
+        peak = traced_peak(lambda: params.save(tmp_path / "model.ckpt"))
+        assert peak < 0.1 * params.num_params * 8
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -418,7 +444,5 @@ class TestCheckpoint:
         params.save(path)
         raw = path.read_bytes()
         assert raw[:7] == b"CADPLM1"
-        import struct
-
         vocab, d_emb, d_hid = struct.unpack_from("<III", raw, 7)
         assert (vocab, d_emb, d_hid) == (13, 6, 5)

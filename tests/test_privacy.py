@@ -176,6 +176,25 @@ class TestStepMemory:
         assert peak < 0.75 * B * params.num_params * 8
 
 
+    @pytest.mark.parametrize("private", [True, False])
+    def test_warm_step_allocates_one_parameter_vector(self, private):
+        # At d=64 the (P,) vector dwarfs the factors and the Grams, so the peak is
+        # the step's weighted sum, which becomes the theta it returns; a step that
+        # also allocated its new theta (or its noise) would read 2 P-vectors.
+        V, B, T = 300, 4, 5
+        params = lm.init_params(V, 64, 64, seed=0)
+        ws = lm.Workspace()
+        seqs = [TokenSequence(tuple(int(x) for x in row), "t")
+                for row in np.random.default_rng(0).integers(0, V, size=(B, T + 1))]
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, delta=1e-5, alpha=2.0, eta=0.1)
+        draw = np.random.default_rng(1).standard_normal(params.num_params)
+        if private:
+            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, draw, ws))
+        else:
+            peak = traced_peak(lambda: plain_sgd_step(params, seqs, 0.1, ws))
+        assert peak < 1.25 * params.num_params * 8
+
+
 class TestDpSgdStep:
     def make_batch(self, rng, vocab=6, n=4):
         return [
