@@ -23,11 +23,12 @@ print(f"forward table shape {table.shape}; each row sums to "
 
 zero = lm.LMParameters(np.zeros(params.num_params), 10, 8, 8)
 print(f"\nuniform (all-zero-weights) model on 5 predicted positions:")
-print(f"  nll = {lm.nll(zero, seq):.6f}  (= 5*ln(10) = {5*math.log(10):.6f})")
-print(f"  perplexity = {lm.perplexity(zero, seq):.6f}  (= vocabulary size 10)")
+print(f"  nll = {lm.sequence_nlls(zero, [seq])[0]:.6f}  (= 5*ln(10) = {5*math.log(10):.6f})")
+print(f"  perplexity = {lm.sequence_perplexities(zero, [seq])[0]:.6f}  (= vocabulary size 10)")
 
-# Analytic gradient vs central finite differences on a few coordinates.
-value, grad = lm.per_example_gradient(params, seq)
+# Analytic gradient vs central finite differences on a few coordinates. The
+# gradients of a batch come back as a (B, P) stack; this batch has one row.
+grad = lm.batch_gradients(params, [seq])[1][0]
 flat = params.theta
 h = 1e-5
 print("\nfinite-difference spot check (5 random coordinates):")
@@ -37,17 +38,17 @@ for idx in rng.choice(flat.size, size=5, replace=False):
     up[idx] += h
     dn[idx] -= h
     numeric = (
-        lm.nll(lm.LMParameters(up, 10, 8, 8), seq)
-        - lm.nll(lm.LMParameters(dn, 10, 8, 8), seq)
+        lm.sequence_nlls(lm.LMParameters(up, 10, 8, 8), [seq])[0]
+        - lm.sequence_nlls(lm.LMParameters(dn, 10, 8, 8), [seq])[0]
     ) / (2 * h)
     print(f"  coord {idx:4d}: analytic {grad[idx]:+.8f}  numeric {numeric:+.8f}")
 
 print("\noverfitting one sequence for 300 steps:")
 target = TokenSequence.from_text("w1 w2 w3", vocab)
 for step in range(300):
-    _, g = lm.per_example_gradient(params, target)
+    g = lm.batch_gradients(params, [target])[1][0]
     params = lm.apply_update(params, g, eta=0.5)
     if step % 100 == 99:
-        print(f"  step {step+1}: nll {lm.nll(params, target):.6f} "
-              f"perplexity {lm.perplexity(params, target):.6f}")
+        print(f"  step {step+1}: nll {lm.sequence_nlls(params, [target])[0]:.6f} "
+              f"perplexity {lm.sequence_perplexities(params, [target])[0]:.6f}")
 print("a memorized sequence approaches perplexity 1")

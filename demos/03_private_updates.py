@@ -21,7 +21,7 @@ batch = [TokenSequence.from_text(f"w{i} w{(i+1)%11} w{(i+2)%11} w{(i+3)%11}", vo
 # the per-example gradients: the norms come from the factors BPTT keeps
 # (ghost norms), and one contraction weighted by the clip scales gives the
 # clipped sum. Here the rows are built one sequence at a time to compare.
-rows = np.stack([lm.per_example_gradient(params, seq)[1] for seq in batch])
+rows = np.stack([lm.batch_gradients(params, [seq])[1][0] for seq in batch])
 row_norms = np.linalg.norm(rows, axis=1)
 ghost = lm.backprop(params, batch).norms()
 print("per-example gradient norms:", row_norms.round(4))
@@ -32,15 +32,20 @@ clipped_norms = np.linalg.norm(clipped, axis=1)
 print("after clipping to 0.5:     ", clipped_norms.round(4))
 print("clipping is idempotent:", bool(np.all(privacy.scales_for_norms(clipped_norms, 0.5) == 1.0)))
 
-spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
-stepped = privacy.dp_sgd_step(params, batch, spec, noise=42)
-again = privacy.dp_sgd_step(params, batch, spec, noise=42)
+# The step takes its P standard normals from the caller and scales them in
+# place, so each step gets its own draw from a seeded stream.
+spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, eta=0.1)
+stepped = privacy.dp_sgd_step(params, batch, spec,
+                              np.random.default_rng(42).standard_normal(params.num_params))
+again = privacy.dp_sgd_step(params, batch, spec,
+                            np.random.default_rng(42).standard_normal(params.num_params))
 print("private step is bit-reproducible under a fixed noise seed:",
       np.array_equal(stepped.theta, again.theta))
 
 # With vanishing noise and an inactive bound, the private step IS plain SGD.
-wide = privacy.PrivacySpec(sigma=1e-300, clip_bound=1e9, delta=1e-5, alpha=2.0, eta=0.1)
-private = privacy.dp_sgd_step(params, batch, wide, noise=0)
+wide = privacy.PrivacySpec(sigma=1e-300, clip_bound=1e9, eta=0.1)
+private = privacy.dp_sgd_step(params, batch, wide,
+                              np.random.default_rng(0).standard_normal(params.num_params))
 plain = privacy.plain_sgd_step(params, batch, eta=0.1)
 print("sigma->0, no clipping: private step == plain step bit-for-bit:",
       np.array_equal(private.theta, plain.theta))

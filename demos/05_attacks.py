@@ -41,7 +41,8 @@ params = lm.init_params(corpus.vocabulary.size, 32, 32, seed=0)
 for epoch in range(1, 16):
     for batch in minibatches(train, 16, seed=1, epoch=epoch):
         params = privacy.plain_sgd_step(params, batch, eta=0.8)
-print(f"trained 15 epochs; validation perplexity {lm.corpus_perplexity(params, test):.2f}")
+valid_ppl = lm.corpus_perplexity(params, test.sequences)
+print(f"trained 15 epochs; validation perplexity {valid_ppl:.2f}")
 
 candidates = enumerate_canaries(template, corpus.vocabulary)
 planted_index = list(template.fills()).index("42")

@@ -42,9 +42,6 @@ from .lm import (
     corpus_perplexity,
     forward,
     init_params,
-    nll,
-    per_example_gradient,
-    perplexity,
 )
 from .privacy import (
     AccountantState,

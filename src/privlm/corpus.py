@@ -303,16 +303,14 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     return take(train_idx), take(test_idx)
 
 
-def extend_vocabulary_for_template(
-    vocabulary: Vocabulary, template: CanaryTemplate, cap: int = DEFAULT_ENUMERATION_CAP
-) -> None:
+def extend_vocabulary_for_template(vocabulary: Vocabulary, template: CanaryTemplate) -> None:
     """Add the template's prefix tokens and every candidate fill to the vocabulary.
 
     Exposure ranking compares the model's perplexity across the whole fill
     space, so every fill must be a real vocabulary entry; otherwise unseen
     fills collapse onto the unknown token and ranks degenerate.
     """
-    _check_space(template, cap)
+    _check_space(template)
     for tok in tokenize(template.prefix):
         vocabulary.add(tok)
     for fill in template.fills():
@@ -320,10 +318,11 @@ def extend_vocabulary_for_template(
             vocabulary.add(fill)
 
 
-def _check_space(template: CanaryTemplate, cap: int) -> None:
-    if template.candidate_space_size > cap:
+def _check_space(template: CanaryTemplate) -> None:
+    if template.candidate_space_size > DEFAULT_ENUMERATION_CAP:
         raise CorpusError(
-            f"candidate space {template.candidate_space_size} exceeds enumeration cap {cap}"
+            f"candidate space {template.candidate_space_size} exceeds enumeration cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
 
 
@@ -334,7 +333,7 @@ def canary_sentence(template: CanaryTemplate, fill: str, max_len: int) -> str:
     and the sentence at most ``max_len`` tokens, since truncating it could
     cut off the secret the attacks rank.
     """
-    _check_space(template, DEFAULT_ENUMERATION_CAP)
+    _check_space(template)
     sentence = template.sentence(fill)
     n_tokens = len(tokenize(sentence))
     if n_tokens > max_len:
@@ -386,11 +385,7 @@ def plant_canary(
     return Corpus(sequences=seqs, vocabulary=corpus.vocabulary, labels=labels), sorted(positions)
 
 
-def enumerate_canaries(
-    template: CanaryTemplate,
-    vocabulary: Vocabulary,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[TokenSequence]:
+def enumerate_canaries(template: CanaryTemplate, vocabulary: Vocabulary) -> list[TokenSequence]:
     """All instantiated canaries, in lexicographic fill order.
 
     Candidates are encoded under ``vocabulary``; tokens the vocabulary does
@@ -399,7 +394,7 @@ def enumerate_canaries(
     guarantees that a fill is its own token, so each candidate is the prefix
     ids plus the fill's id, as ``TokenSequence.from_text`` would encode it.
     """
-    extend_vocabulary_for_template(vocabulary, template, cap)
+    extend_vocabulary_for_template(vocabulary, template)
     prefix_ids = tuple(vocabulary.encode_tokens(tokenize(template.prefix)))
     return [
         TokenSequence(

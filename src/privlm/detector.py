@@ -368,6 +368,12 @@ def train_detector(
     """
     if not (0.0 <= fpr_cap <= 1.0):
         raise DetectorError(f"fpr_cap must be in [0, 1], got {fpr_cap}")
+    if epochs < 1:
+        raise DetectorError(f"epochs must be >= 1, got {epochs}")
+    if not eta > 0:
+        raise DetectorError(f"eta must be > 0, got {eta}")
+    if not (0.0 < val_fraction < 1.0):
+        raise DetectorError(f"val_fraction must be in (0, 1), got {val_fraction}")
     y = dataset.labels
     if not y.any() or y.all():
         raise DetectorError("detector training needs both classes present")

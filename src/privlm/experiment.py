@@ -37,9 +37,9 @@ raises.
 Training memory. Each step allocates one P-length vector, its weighted sum,
 which becomes the theta it returns (see ``privacy``), so a step holds the
 old and the new theta and nothing P-sized besides the two noise buffers.
-Each epoch's ``lm.Workspace`` is sized before its first step for
-``batch_size`` and the longest training line, so no step replaces one of
-its buffers and no freed buffer stays resident into the next epoch.
+Each epoch builds one ``lm.Workspace`` for ``batch_size`` and the longest
+training line, so every step of the epoch fits its buffers and none stays
+resident into the next epoch.
 
 Config files are flat ``key = value`` text; unknown keys are rejected. See
 the schemas below for every key and its default.
@@ -237,6 +237,8 @@ class ExperimentConfig:
             "train_fraction": (0 < v["train_fraction"] < 1, "in (0, 1)"),
             "max_seq_len": (v["max_seq_len"] >= 2, ">= 2"),
             "canary_count": (v["canary_count"] >= 0, ">= 0"),
+            "mi_n": (v["mi_n"] >= 1, ">= 1"),
+            "substitution_rate": (0 <= v["substitution_rate"] <= 1, "in [0, 1]"),
         }
         for key, (ok, rule) in ranges.items():
             if not ok:
@@ -399,13 +401,8 @@ def train(config: ExperimentConfig) -> dict:
     flags = _sensitivity_flags(config, train_corpus, det)
     sensitive_count = sum(1 for s in train_corpus.sequences if flags[s.source_text])
 
-    spec = privacy.PrivacySpec(
-        sigma=config["sigma"],
-        clip_bound=config["clip_bound"],
-        delta=config["delta"],
-        alpha=config["rdp_alpha"],
-        eta=config["eta"],
-    )
+    spec = privacy.PrivacySpec(sigma=config["sigma"], clip_bound=config["clip_bound"],
+                               eta=config["eta"])
     params = lm.init_params(vocab.size, config["d_emb"], config["d_hid"], config["seed_init"])
     noise_rng = np.random.default_rng(np.random.SeedSequence([config["seed_noise"]]))
 
@@ -436,8 +433,7 @@ def train(config: ExperimentConfig) -> dict:
         for epoch in range(1, config["epochs"] + 1):
             # The steps' buffers live for one epoch: kept through validation and the
             # checkpoint, their pages would add to its peak memory.
-            workspace = lm.Workspace()
-            workspace.reserve(params, config["batch_size"], longest)
+            workspace = lm.Workspace(params, config["batch_size"], longest)
             try:
                 for batch in minibatches(train_corpus, config["batch_size"], config["seed_data"], epoch):
                     batch_s = [s for s in batch if flags[s.source_text]]
@@ -459,7 +455,7 @@ def train(config: ExperimentConfig) -> dict:
             if not np.isfinite(params.theta).all():
                 diverged = True
                 break
-            valid_ppl = lm.corpus_perplexity(params, test_corpus)
+            valid_ppl = lm.corpus_perplexity(params, test_corpus.sequences)
             if not np.isfinite(valid_ppl):
                 diverged = True
                 break

@@ -11,16 +11,15 @@ activations for the backward pass, while the scoring functions
 (``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
 step as it arrives and keep no activations.
 
-Training steps give ``backprop`` a ``Workspace``: grow-only float64 buffers,
-handed out as C-contiguous prefix views, for the (T, B, .) factors z, h,
-delta, da and e and the (B, V) log-softmax ``exp`` scratch, so steps whose B
-and T vary (cadp alternates small private and large plain batches) reuse the
-same pages. ``Workspace.reserve`` sizes them once for the largest batch, so
-no buffer is replaced while it is in use. The factors are valid until the
-next ``backprop`` on the same workspace. Every other array is fresh and
-belongs to the caller. ``apply_update`` computes the new theta in the buffer
-of the update it is given, so a training step's weighted sum becomes the
-theta it returns and the step holds no third P-length vector.
+Training steps give ``backprop`` a ``Workspace``: float64 buffers, sized for
+the largest batch when it is built, for the (T, B, .) factors z, h, delta,
+da and e and the (B, V) log-softmax ``exp`` scratch; steps whose B and T
+vary (cadp alternates small private and large plain batches) use prefix
+views of the same pages. The factors are valid until the next ``backprop``
+on the same workspace. Every other array is fresh and belongs to the caller.
+``apply_update`` computes the new theta in the buffer of the update it is
+given, so a training step's weighted sum becomes the theta it returns and
+the step holds no third P-length vector.
 
 Gradients are kept factored: ``backprop`` returns the per-step factors BPTT
 computes anyway (``GradientFactors``), of which each weight block of an
@@ -61,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence
+from .corpus import TokenSequence
 
 CHECKPOINT_MAGIC = b"CADPLM1"
 _DIMS = struct.Struct("<III")  # vocab, d_emb, d_hid after the magic
@@ -262,19 +261,8 @@ def forward(params: LMParameters, seq: TokenSequence) -> np.ndarray:
     return np.stack([step[-1][0] for step in _steps(params, X)])
 
 
-def nll(params: LMParameters, seq: TokenSequence) -> float:
-    """Total negative log-likelihood (natural log) of positions 1..len-1."""
-    return float(sequence_nlls(params, [seq])[0])
-
-
-def perplexity(params: LMParameters, seq: TokenSequence) -> float:
-    """exp(mean per-token NLL) over the predicted positions."""
-    n_pred = len(seq) - 1
-    return float(np.exp(nll(params, seq) / n_pred))
-
-
 def sequence_nlls(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray:
-    """Total NLL of each sequence, scored forward-only in batches of _NLL_CHUNK."""
+    """Total NLL (natural log) of each sequence, scored forward-only in batches of _NLL_CHUNK."""
     out = np.empty(len(seqs))
     for start in range(0, len(seqs), _NLL_CHUNK):
         X, Y, M = _pack_batch(params, seqs[start : start + _NLL_CHUNK])
@@ -311,9 +299,8 @@ def sequence_perplexities(params: LMParameters, seqs: list[TokenSequence]) -> np
     return np.exp(nlls / n_pred)
 
 
-def corpus_perplexity(params: LMParameters, corpus: Corpus | list[TokenSequence]) -> float:
+def corpus_perplexity(params: LMParameters, seqs: list[TokenSequence]) -> float:
     """Corpus-level perplexity: exp(total NLL / total predicted tokens)."""
-    seqs = corpus.sequences if isinstance(corpus, Corpus) else corpus
     nlls = sequence_nlls(params, seqs)
     total_pred = sum(len(s) - 1 for s in seqs)
     return float(np.exp(float(nlls.sum()) / total_pred))
@@ -379,37 +366,21 @@ class GradientFactors:
 
 
 class Workspace:
-    """Named, grow-only float64 buffers for ``backprop``, handed out as prefix views.
+    """Flat float64 buffers for ``backprop`` batches of up to ``batch_size`` x ``steps``.
 
-    ``take(name, shape)`` returns a C-contiguous view of the first
-    prod(shape) entries of ``buffers[name]``, which is replaced by a larger
-    buffer only when a request outgrows it; so steps of every shape up to the
-    largest seen share the same memory. A view's contents last until its
-    name is taken again.
+    ``buffers`` holds one buffer per factor, allocated when the workspace is
+    built; ``backprop`` computes a batch's factors in C-contiguous prefix views
+    of them, so steps of every shape within the bounds share the same memory,
+    and the pages no step touches are never faulted in.
     """
 
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self.buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-    def reserve(self, params: LMParameters, batch_size: int, steps: int) -> None:
-        """Size every buffer for ``backprop`` batches of up to ``batch_size`` x ``steps``.
-
-        Later steps within those bounds replace no buffer, and the pages of a
-        large buffer that no step touches are never faulted in.
-        """
-        for name, shape in _factor_shapes(params, batch_size, steps).items():
-            self.take(name, shape)
+    def __init__(self, params: LMParameters, batch_size: int, steps: int):
+        self.buffers = {name: np.empty(math.prod(shape))
+                        for name, shape in _factor_shapes(params, batch_size, steps).items()}
 
 
 def _factor_shapes(params: LMParameters, B: int, T: int) -> dict[str, tuple[int, ...]]:
-    """``backprop``'s workspace requests for a (B, T) batch, in the order it takes them."""
+    """``backprop``'s factor and scratch shapes for a (B, T) batch, by buffer name."""
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     return {"z": (T, B, E + H), "h": (T, B, H), "delta": (T, B, V), "da": (T, B, 4 * H),
             "e": (T, B, E), "exp": (B, V)}
@@ -421,18 +392,21 @@ def backprop(params: LMParameters, seqs: list[TokenSequence],
 
     This is the single gradient implementation in the package: training
     steps contract its factors with per-example weights, and
-    :func:`batch_gradients` and :func:`per_example_gradient` read the same
-    factors, so the finite-difference tests exercise the training code. The
-    factors are views of ``workspace`` (a fresh one if None), valid until
-    its next ``backprop``.
+    :func:`batch_gradients` reads the same factors, so the finite-difference
+    tests exercise the training code. The factors are views of ``workspace``
+    (one sized for the batch if None), valid until its next ``backprop``; a
+    batch that outgrows the workspace raises ``LMError``.
     """
     X, Y, M = _pack_batch(params, seqs)
     B, T = X.shape
     V, E, H = params.vocab_size, params.d_emb, params.d_hid
     rows = np.arange(B)
-    ws = Workspace() if workspace is None else workspace
+    ws = Workspace(params, B, T) if workspace is None else workspace
+    shapes = _factor_shapes(params, B, T)
+    if any(math.prod(shape) > ws.buffers[name].size for name, shape in shapes.items()):
+        raise LMError(f"a batch of {B} sequences x {T} steps outgrows the workspace")
     zs, hs, delta, da_all, demb_all, exp_scratch = (
-        ws.take(name, shape) for name, shape in _factor_shapes(params, B, T).items()
+        ws.buffers[name][: math.prod(shape)].reshape(shape) for name, shape in shapes.items()
     )
 
     # Each step's log-probability table is computed in delta[t], where the
@@ -492,12 +466,6 @@ def batch_gradients(params: LMParameters, seqs: list[TokenSequence]) -> tuple[np
     for b, one_hot in enumerate(np.eye(len(seqs))):
         stacked[b] = factors.weighted_sum(one_hot)
     return factors.nlls, stacked
-
-
-def per_example_gradient(params: LMParameters, seq: TokenSequence) -> tuple[float, np.ndarray]:
-    """Exact analytic gradient of the sequence NLL via full-length BPTT, flat (P,)."""
-    factors = backprop(params, [seq])
-    return float(factors.nlls[0]), factors.weighted_sum(np.ones(1))
 
 
 def apply_update(params: LMParameters, update: np.ndarray, eta: float) -> LMParameters:

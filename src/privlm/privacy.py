@@ -7,14 +7,14 @@ SGD step. Noise comes from a dedicated seeded stream, independent of data
 shuffling, so runs are bit-reproducible.
 
 The noise is P standard normals scaled by sigma*C in place, which gives the
-bits of ``normal(0, sigma*C)``. ``dp_sgd_step`` draws them from a seed or a
-generator, or takes a (P,) draw made ahead by its caller: ``experiment.train``
-draws each private step's vector one step ahead on one worker thread, into
-two P-length buffers it fills in turn. Both steps run ``lm.backprop`` on an
-``lm.Workspace`` (a fresh one when the caller passes none), whose factors
-last until the next ``backprop`` on it. Each step allocates one P-length
-vector, its weighted sum, and ``lm.apply_update`` turns that sum into the
-theta the step returns, in place; later steps never touch it.
+bits of ``normal(0, sigma*C)``. ``dp_sgd_step`` takes that (P,) draw from its
+caller: ``experiment.train`` draws each private step's vector one step ahead
+on one worker thread, into two P-length buffers it fills in turn. Both steps
+run ``lm.backprop`` on an ``lm.Workspace`` (one sized for the batch when the
+caller passes none), whose factors last until the next ``backprop`` on it.
+Each step allocates one P-length vector, its weighted sum, and
+``lm.apply_update`` turns that sum into the theta the step returns, in place;
+later steps never touch it.
 
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),
@@ -67,12 +67,10 @@ class NonFiniteGradient(PrivacyError):
 
 @dataclass(frozen=True)
 class PrivacySpec:
-    """Noise multiplier, clipping bound, DP failure probability, RDP order, lr."""
+    """Noise multiplier, clipping bound and learning rate of the private step."""
 
     sigma: float
     clip_bound: float
-    delta: float
-    alpha: float
     eta: float
 
     def __post_init__(self):
@@ -80,10 +78,6 @@ class PrivacySpec:
             raise PrivacyError(f"sigma must be > 0, got {self.sigma}")
         if self.clip_bound <= 0:
             raise PrivacyError(f"clip_bound must be > 0, got {self.clip_bound}")
-        if not (0.0 < self.delta < 1.0):
-            raise PrivacyError(f"delta must be in (0, 1), got {self.delta}")
-        if self.alpha <= 1:
-            raise PrivacyError(f"alpha must be > 1, got {self.alpha}")
 
 
 @dataclass
@@ -159,44 +153,32 @@ def noisy_clipped_mean(
     return _noisy_mean(scales @ stacked, stacked.shape[0], clip_bound, sigma, noise)
 
 
-def _standard_normal(noise: int | np.random.Generator | np.ndarray, size: int) -> np.ndarray:
-    """A (size,) standard-normal draw: ``noise`` itself, or drawn from a seed or generator."""
-    if isinstance(noise, np.ndarray):
-        if noise.shape != (size,) or noise.dtype != np.float64:
-            raise PrivacyError(
-                f"noise draw must be ({size},) float64, got {noise.shape} {noise.dtype}"
-            )
-        return noise
-    if not isinstance(noise, np.random.Generator):
-        noise = np.random.default_rng(np.random.SeedSequence([int(noise)]))
-    return noise.standard_normal(size)
-
-
 def dp_sgd_step(
     params: LMParameters,
     batch_S: list[TokenSequence],
     spec: PrivacySpec,
-    noise: int | np.random.Generator | np.ndarray,
+    noise: np.ndarray,
     workspace: lm.Workspace | None = None,
 ) -> LMParameters:
     """One private update on a batch of sensitive sequences.
 
     Clip scales come from the ghost norms and weight one contraction of the
     BPTT factors; the noise is the same single draw as in
-    :func:`noisy_clipped_mean`. ``noise`` may be an integer seed, a live
-    generator, or the step's (P,) float64 standard-normal draw, which the
-    step scales in place and does not keep, so its caller may refill it for
-    a later step (another shape or dtype raises ``PrivacyError``). Passing
-    the same generator, or its successive draws, across steps realizes one
-    independent draw per step from a single stream. ``backprop`` runs on ``workspace``, or a fresh one.
+    :func:`noisy_clipped_mean`. ``noise`` is the step's (P,) float64
+    standard-normal draw, which the step scales in place and does not keep,
+    so its caller may refill it for a later step; anything else raises
+    ``PrivacyError``. ``backprop`` runs on ``workspace``, or one sized for the batch.
     """
     if not batch_S:
         raise PrivacyError("dp_sgd_step requires a non-empty batch; skip the step instead")
+    size = params.theta.size
+    if not (isinstance(noise, np.ndarray) and noise.shape == (size,) and noise.dtype == np.float64):
+        got = getattr(noise, "dtype", type(noise).__name__)
+        raise PrivacyError(f"noise draw must be a ({size},) float64 array, got {np.shape(noise)} {got}")
     factors = lm.backprop(params, batch_S, workspace)
     scales = scales_for_norms(factors.norms(), spec.clip_bound)
     update_flat = _noisy_mean(
-        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma,
-        _standard_normal(noise, params.theta.size),
+        factors.weighted_sum(scales), len(batch_S), spec.clip_bound, spec.sigma, noise
     )
     return lm.apply_update(params, update_flat, spec.eta)
 
@@ -207,7 +189,7 @@ def plain_sgd_step(params: LMParameters, batch: list[TokenSequence], eta: float,
 
     The same contraction as the private step with unit weights and no noise
     term, so the two coincide bit-for-bit when clipping is inactive and
-    sigma is zero. ``backprop`` runs on ``workspace``, or a fresh one.
+    sigma is zero. ``backprop`` runs on ``workspace``, or one sized for the batch.
     """
     if not batch:
         raise PrivacyError("plain_sgd_step requires a non-empty batch")

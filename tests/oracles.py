@@ -25,14 +25,15 @@ from privlm.lm import LMParameters
 def finite_difference_gradient(params: LMParameters, seq: TokenSequence, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the sequence NLL over every parameter."""
     flat = params.theta
+    dims = (params.vocab_size, params.d_emb, params.d_hid)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         up = flat.copy()
         up[i] += h
         dn = flat.copy()
         dn[i] -= h
-        f_up = lm.nll(lm.LMParameters(up, params.vocab_size, params.d_emb, params.d_hid), seq)
-        f_dn = lm.nll(lm.LMParameters(dn, params.vocab_size, params.d_emb, params.d_hid), seq)
+        f_up = lm.sequence_nlls(lm.LMParameters(up, *dims), [seq])[0]
+        f_dn = lm.sequence_nlls(lm.LMParameters(dn, *dims), [seq])[0]
         grad[i] = (f_up - f_dn) / (2.0 * h)
     return grad
 
@@ -105,7 +106,7 @@ def per_example_rows(params: LMParameters, seqs: list[TokenSequence]) -> np.ndar
     No row shares a batch, padding or a contraction with another, so the
     rows are an independent reference for batched norms and weighted sums.
     """
-    return np.stack([lm.per_example_gradient(params, seq)[1] for seq in seqs])
+    return np.stack([lm.batch_gradients(params, [seq])[1][0] for seq in seqs])
 
 
 def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matrix:

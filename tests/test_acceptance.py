@@ -162,7 +162,7 @@ def test_criterion_01_gradient_correctness():
         params = lm.init_params(12, 8, 8, seed=trial)
         ids = tuple(int(x) for x in rng.integers(0, 12, size=6))
         seq = TokenSequence(ids=ids, source_text="probe")
-        _, grad = lm.per_example_gradient(params, seq)
+        grad = lm.batch_gradients(params, [seq])[1][0]
         numeric = finite_difference_gradient(params, seq, h=1e-5)
         rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-5)
         worst = max(worst, float(rel.max()))
@@ -203,8 +203,9 @@ def test_criterion_02_clipping_noise_contract():
 
     # (b) sigma -> 0 with inactive clipping reproduces plain SGD bit-for-bit
     big_c = float(np.linalg.norm(rows, axis=1).max()) * 10 + 1
-    spec = PrivacySpec(sigma=1e-300, clip_bound=big_c, delta=1e-5, alpha=2.0, eta=0.1)
-    private = privacy.dp_sgd_step(params, batch, spec, noise=5)
+    spec = PrivacySpec(sigma=1e-300, clip_bound=big_c, eta=0.1)
+    private = privacy.dp_sgd_step(params, batch, spec,
+                                  np.random.default_rng(5).standard_normal(params.num_params))
     plain = privacy.plain_sgd_step(params, batch, eta=0.1)
     bitwise_ok = np.array_equal(private.theta, plain.theta)
 
@@ -213,12 +214,13 @@ def test_criterion_02_clipping_noise_contract():
     # the stated 3-sigma band
     scales2 = privacy.scales_for_norms(np.linalg.norm(rows, axis=1), c2)
     clipped_mean = (scales2 @ rows) / len(batch)
-    spec2 = PrivacySpec(sigma=sigma, clip_bound=c2, delta=1e-5, alpha=2.0, eta=1.0)
+    spec2 = PrivacySpec(sigma=sigma, clip_bound=c2, eta=1.0)
     draws = 10_000
     noise_rng = np.random.default_rng(99)
     acc = np.zeros(rows.shape[1])
     for _ in range(draws):
-        acc += params.theta - privacy.dp_sgd_step(params, batch, spec2, noise_rng).theta
+        draw = noise_rng.standard_normal(params.num_params)
+        acc += params.theta - privacy.dp_sgd_step(params, batch, spec2, draw).theta
     band = 3.0 * (sigma * c2) / math.sqrt(draws * len(batch))
     mc_ok = bool(np.all(np.abs(acc / (draws * spec2.eta) - clipped_mean) <= band))
 

@@ -87,7 +87,7 @@ class TestRank:
         params = lm.init_params(vocab.size, 6, 6, seed=2)
         planted = 3
         for _ in range(150):
-            _, grad = lm.per_example_gradient(params, candidates[planted])
+            grad = lm.batch_gradients(params, [candidates[planted]])[1][0]
             params = lm.apply_update(params, grad, 0.5)
         assert rank_from_perplexities(candidate_perplexities(params, candidates), planted) == 1
 

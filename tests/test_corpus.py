@@ -322,7 +322,7 @@ class TestEnumerateCanaries:
         vocab = Vocabulary()
         template = CanaryTemplate("x ", "0123456789", 6)
         with pytest.raises(CorpusError, match="cap"):
-            enumerate_canaries(template, vocab, cap=10_000)
+            enumerate_canaries(template, vocab)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -142,6 +142,7 @@ class TestConfigParsing:
         ("sigma", 0), ("clip_bound", -1), ("delta", 0), ("delta", 1), ("rdp_alpha", 1),
         ("eta", 0), ("eta", -1), ("eta", "nan"), ("d_emb", 0), ("d_hid", 0),
         ("train_fraction", 0), ("train_fraction", 1.0), ("max_seq_len", 1),
+        ("mi_n", 0), ("mi_n", -3), ("substitution_rate", -0.1), ("substitution_rate", 1.5),
     ])
     def test_out_of_range_value_rejected_before_the_run_directory(self, tmp_path, data_dir,
                                                                   regime, key, value):
@@ -601,9 +602,10 @@ class TestNoiseStream:
     def test_draw_of_the_wrong_shape_or_dtype_rejected(self):
         params = lm.init_params(5, 2, 2, seed=0)
         batch = [TokenSequence((1, 2, 3), "t")]
-        spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        spec = privacy.PrivacySpec(sigma=1.0, clip_bound=0.5, eta=0.1)
         P = params.num_params
-        for bad in (np.zeros(P - 1), np.zeros(P + 1), np.zeros((1, P)), np.zeros(P, np.float32)):
+        for bad in (np.zeros(P - 1), np.zeros(P + 1), np.zeros((1, P)), np.zeros(P, np.float32),
+                    0, np.random.default_rng(0)):
             with pytest.raises(privacy.PrivacyError, match="noise draw must be"):
                 privacy.dp_sgd_step(params, batch, spec, bad)
 
@@ -665,6 +667,22 @@ class TestDetectorTraining:
         with pytest.raises(DetectorError, match=f"{field} must be >= 1"):
             train_detector_from_config(cfg)
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", -5), ("epochs", 0), ("eta", 0), ("eta", -1), ("eta", "nan"),
+        ("val_fraction", 0), ("val_fraction", 1),
+    ])
+    def test_out_of_range_training_value_rejected(self, data_dir, tmp_path, key, value):
+        out = tmp_path / "det" / "det.bin"
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(
+            f"seeds = {data_dir['seeds']}\nnegatives = {data_dir['negatives']}\n"
+            f"char_dim = 64\nword_dim = 32\n{key} = {value}\nout = {out}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DetectorError, match=f"^{key} must be"):
+            train_detector_from_config(cfg)
+        assert not out.parent.exists()
 
 
 class TestReport:

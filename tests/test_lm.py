@@ -117,23 +117,23 @@ class TestForward:
         params = lm.init_params(6, 8, 8, seed=5)
         seq = TokenSequence(ids=(1, 2, 3), source_text="t")
         for _ in range(500):
-            _, grad = lm.per_example_gradient(params, seq)
+            grad = lm.batch_gradients(params, [seq])[1][0]
             params = lm.apply_update(params, grad, 0.5)
-        final = lm.nll(params, seq)
+        final = lm.sequence_nlls(params, [seq])[0]
         assert final < 0.01
         # target-token probability -> 1
         table = lm.forward(params, seq)
         assert math.exp(table[0, 2]) > 0.99
         assert math.exp(table[1, 3]) > 0.99
-        assert lm.perplexity(params, seq) == pytest.approx(1.0, abs=0.02)
+        assert lm.sequence_perplexities(params, [seq])[0] == pytest.approx(1.0, abs=0.02)
 
 
 class TestNllPerplexity:
     def test_uniform_model_values(self):
         zero = LMParameters(np.zeros(lm.init_params(10, 4, 4, seed=0).num_params), 10, 4, 4)
         seq = TokenSequence(ids=(1, 2, 3, 4, 5, 6), source_text="t")  # 5 predictions
-        assert lm.nll(zero, seq) == pytest.approx(5 * math.log(10), abs=1e-9)
-        assert lm.perplexity(zero, seq) == pytest.approx(10.0, abs=1e-9)
+        assert lm.sequence_nlls(zero, [seq])[0] == pytest.approx(5 * math.log(10), abs=1e-9)
+        assert lm.sequence_perplexities(zero, [seq])[0] == pytest.approx(10.0, abs=1e-9)
 
     def test_nll_is_sum_of_positionwise_terms(self):
         params = lm.init_params(9, 5, 5, seed=2)
@@ -141,20 +141,13 @@ class TestNllPerplexity:
         table = lm.forward(params, seq)
         targets = list(seq.ids[1:])
         manual = -sum(table[t, targets[t]] for t in range(len(targets)))
-        assert lm.nll(params, seq) == pytest.approx(manual, rel=1e-12)
-
-    def test_nll_is_single_sequence_batch(self):
-        params = lm.init_params(9, 5, 5, seed=2)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            seq = random_seq(rng, 9, int(rng.integers(2, 12)))
-            assert lm.nll(params, seq) == lm.sequence_nlls(params, [seq])[0]
+        assert lm.sequence_nlls(params, [seq])[0] == pytest.approx(manual, rel=1e-12)
 
     def test_corpus_perplexity_pools_tokens(self):
         params = lm.init_params(9, 5, 5, seed=2)
         rng = np.random.default_rng(0)
         seqs = [random_seq(rng, 9, int(rng.integers(2, 7))) for _ in range(7)]
-        total_nll = sum(lm.nll(params, s) for s in seqs)
+        total_nll = sum(lm.sequence_nlls(params, [s])[0] for s in seqs)
         total_pred = sum(len(s) - 1 for s in seqs)
         assert lm.corpus_perplexity(params, seqs) == pytest.approx(
             math.exp(total_nll / total_pred), rel=1e-12
@@ -226,7 +219,7 @@ class TestGradients:
         for trial in range(6):
             params = lm.init_params(12, 8, 8, seed=100 + trial)
             seq = random_seq(rng, 12, 6)
-            _, grad = lm.per_example_gradient(params, seq)
+            grad = lm.batch_gradients(params, [seq])[1][0]
             numeric = finite_difference_gradient(params, seq)
             rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), _REL_FLOOR)
             assert rel.max() < 1e-4
@@ -234,7 +227,7 @@ class TestGradients:
     def test_unused_embedding_rows_have_zero_gradient(self):
         params = lm.init_params(10, 4, 4, seed=3)
         seq = TokenSequence(ids=(1, 2, 1, 2), source_text="t")
-        _, grad = lm.per_example_gradient(params, seq)
+        grad = lm.batch_gradients(params, [seq])[1][0]
         used = {1, 2}
         for row in range(10):
             if row not in used:
@@ -245,11 +238,11 @@ class TestGradients:
         rng = np.random.default_rng(9)
         seqs = [random_seq(rng, 11, int(rng.integers(2, 8))) for _ in range(5)]
         nlls, stacked = lm.batch_gradients(params, seqs)
-        singles = [lm.per_example_gradient(params, s) for s in seqs]
+        singles = [lm.batch_gradients(params, [s]) for s in seqs]
         for b, (val, grad) in enumerate(singles):
-            assert nlls[b] == pytest.approx(val, rel=1e-12)
-            assert np.allclose(stacked[b], grad, rtol=1e-10, atol=1e-12)
-        mean_manual = np.mean([g for _, g in singles], axis=0)
+            assert nlls[b] == pytest.approx(val[0], rel=1e-12)
+            assert np.allclose(stacked[b], grad[0], rtol=1e-10, atol=1e-12)
+        mean_manual = np.mean([g[0] for _, g in singles], axis=0)
         assert np.allclose(stacked.mean(axis=0), mean_manual, rtol=1e-10, atol=1e-14)
 
     def test_flat_roundtrip_exact(self):
@@ -321,7 +314,7 @@ class TestApplyUpdate:
     def setup_method(self):
         self.params = lm.init_params(8, 4, 4, seed=1)
         seq = TokenSequence(ids=(1, 2, 3), source_text="t")
-        _, self.grad = lm.per_example_gradient(self.params, seq)
+        self.grad = lm.batch_gradients(self.params, [seq])[1][0]
 
     def test_eta_zero_is_identity(self):
         updated = lm.apply_update(self.params, self.grad, 0.0)
@@ -362,7 +355,7 @@ class TestApplyUpdate:
     def test_shape_mismatch_rejected(self):
         other = lm.init_params(9, 4, 4, seed=2)
         seq = TokenSequence(ids=(1, 2), source_text="t")
-        _, grad9 = lm.per_example_gradient(other, seq)
+        grad9 = lm.batch_gradients(other, [seq])[1][0]
         with pytest.raises(LMError, match="shape"):
             lm.apply_update(self.params, grad9, 0.1)
 

@@ -152,9 +152,9 @@ class TestGhostClipping:
         params = lm.LMParameters(tiny_params.theta.copy(), 6, 3, 3)
         params.out_W[1, 2] = bad
         batch = [TokenSequence((1, 2, 3, 4), "t"), TokenSequence((0, 5), "t")]
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, eta=0.1)
         with np.errstate(all="ignore"), pytest.raises(PrivacyError, match="non-finite"):
-            dp_sgd_step(params, batch, spec, noise=0)
+            dp_sgd_step(params, batch, spec, np.zeros(params.num_params))
 
 
 class TestStepMemory:
@@ -168,9 +168,10 @@ class TestStepMemory:
         seqs = [
             TokenSequence(tuple(int(x) for x in rng.integers(0, V, size=8)), "t") for _ in range(B)
         ]  # T = 7
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, delta=1e-5, alpha=2.0, eta=0.1)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, eta=0.1)
         if private:
-            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, noise=0))
+            draw = np.random.default_rng(0).standard_normal(params.num_params)
+            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, draw.copy()))
         else:
             peak = traced_peak(lambda: plain_sgd_step(params, seqs, eta=0.1))
         assert peak < 0.75 * B * params.num_params * 8
@@ -183,10 +184,10 @@ class TestStepMemory:
         # also allocated its new theta (or its noise) would read 2 P-vectors.
         V, B, T = 300, 4, 5
         params = lm.init_params(V, 64, 64, seed=0)
-        ws = lm.Workspace()
+        ws = lm.Workspace(params, B, T)
         seqs = [TokenSequence(tuple(int(x) for x in row), "t")
                 for row in np.random.default_rng(0).integers(0, V, size=(B, T + 1))]
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, delta=1e-5, alpha=2.0, eta=0.1)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, eta=0.1)
         draw = np.random.default_rng(1).standard_normal(params.num_params)
         if private:
             peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, draw, ws))
@@ -208,23 +209,25 @@ class TestDpSgdStep:
         # pick a clip bound far above every gradient norm so clipping is inert
         _, stacked = lm.batch_gradients(tiny_params, batch)
         big_c = float(np.linalg.norm(stacked, axis=1).max()) * 10 + 1
-        spec = PrivacySpec(sigma=1e-300, clip_bound=big_c, delta=1e-5, alpha=2.0, eta=0.1)
-        private = dp_sgd_step(tiny_params, batch, spec, noise=0)
+        spec = PrivacySpec(sigma=1e-300, clip_bound=big_c, eta=0.1)
+        private = dp_sgd_step(tiny_params, batch, spec,
+                              np.random.default_rng(0).standard_normal(tiny_params.num_params))
         plain = plain_sgd_step(tiny_params, batch, eta=0.1)
         assert np.array_equal(private.theta, plain.theta)
 
     def test_fixed_seed_bit_identical(self, tiny_params):
         rng = np.random.default_rng(2)
         batch = self.make_batch(rng)
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
-        a = dp_sgd_step(tiny_params, batch, spec, noise=123)
-        b = dp_sgd_step(tiny_params, batch, spec, noise=123)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, eta=0.1)
+        a, b = (dp_sgd_step(tiny_params, batch, spec,
+                            np.random.default_rng(123).standard_normal(tiny_params.num_params))
+                for _ in range(2))
         assert np.array_equal(a.theta, b.theta)
 
     def test_empty_batch_rejected(self, tiny_params):
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, eta=0.1)
         with pytest.raises(PrivacyError, match="skip"):
-            dp_sgd_step(tiny_params, [], spec, noise=0)
+            dp_sgd_step(tiny_params, [], spec, np.zeros(tiny_params.num_params))
 
     def test_monte_carlo_mean_matches_clipped_mean(self):
         # Independent unbiasedness oracle over 10^4 seeded draws.
@@ -252,16 +255,14 @@ class TestUpdateFormulas:
     @given(lm_batches(), st.floats(0.1, 5.0), st.floats(0.01, 2.0), st.integers(0, 2**32 - 1))
     def test_dp_sgd_step_bitwise(self, batch, sigma, clip, seed):
         params, seqs = batch
-        spec = PrivacySpec(sigma=sigma, clip_bound=clip, delta=1e-5, alpha=2.0, eta=0.3)
+        spec = PrivacySpec(sigma=sigma, clip_bound=clip, eta=0.3)
         factors = lm.backprop(params, seqs)
         total = factors.weighted_sum(privacy.scales_for_norms(factors.norms(), clip))
         noise = np.random.default_rng(seed).normal(0.0, sigma * clip, params.num_params)
         want = params.theta - spec.eta * ((total + noise) / len(seqs))
-        # A live generator, and the same generator's draw made ahead of the step.
-        for form in (np.random.default_rng(seed),
-                     np.random.default_rng(seed).standard_normal(params.num_params)):
-            got = dp_sgd_step(params, seqs, spec, form)
-            assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
+        got = dp_sgd_step(params, seqs, spec,
+                          np.random.default_rng(seed).standard_normal(params.num_params))
+        assert np.array_equal(got.theta.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=40, deadline=None)
     @given(lm_batches())
@@ -289,21 +290,22 @@ class TestUpdateFormulas:
         schedule += [batch((1, 8), (2, 9)) for _ in range(data.draw(st.integers(0, 4)))]
         private = [data.draw(st.booleans()) for _ in schedule]
         spec = PrivacySpec(sigma=data.draw(st.floats(0.1, 5.0)),
-                           clip_bound=data.draw(st.floats(0.01, 2.0)),
-                           delta=1e-5, alpha=2.0, eta=0.3)
+                           clip_bound=data.draw(st.floats(0.01, 2.0)), eta=0.3)
         seed = data.draw(st.integers(0, 2**32 - 1))
 
         def thetas(workspace):
             rng, p, out = np.random.default_rng(seed), params, []
             for seqs, is_private in zip(schedule, private):
                 if is_private:
-                    p = dp_sgd_step(p, seqs, spec, rng, workspace)
+                    p = dp_sgd_step(p, seqs, spec, rng.standard_normal(p.num_params), workspace)
                 else:
                     p = plain_sgd_step(p, seqs, spec.eta, workspace)
                 out.append(p.theta.copy())
             return out
 
-        for got, want in zip(thetas(lm.Workspace()), thetas(None), strict=True):
+        longest = max(len(s) for seqs in schedule for s in seqs) - 1
+        shared = lm.Workspace(params, max(map(len, schedule)), longest)
+        for got, want in zip(thetas(shared), thetas(None), strict=True):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -315,25 +317,33 @@ class TestWorkspace:
         ]
 
     def test_sized_workspace_keeps_every_buffer(self):
-        # A first step at the largest (B, T) sizes every buffer; later steps of
-        # either kind take prefixes of them, so none allocates (or faults in)
-        # a fresh one.
+        # The workspace is sized for the largest (B, T) when it is built; steps
+        # of either kind, the largest batch included, take prefixes of its
+        # buffers, so none allocates (or faults in) a fresh one.
         vocab, B, longest = 30, 8, 9
         params = lm.init_params(vocab, 5, 4, seed=0)
-        ws = lm.Workspace()
+        ws = lm.Workspace(params, B, longest - 1)
         rng = np.random.default_rng(0)
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.1, delta=1e-5, alpha=2.0, eta=0.1)
-        params = dp_sgd_step(params, [TokenSequence(tuple(range(longest)), "t")] * B, spec, rng, ws)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.1, eta=0.1)
         before = {name: (buf, buf.ctypes.data) for name, buf in ws.buffers.items()}
+        params = dp_sgd_step(params, [TokenSequence(tuple(range(longest)), "t")] * B, spec,
+                             rng.standard_normal(params.num_params), ws)
         for k, size in enumerate([1, 7, 2, B, 3, 5, 1]):
             seqs = self.random_batch(rng, vocab, size, longest)
             if k % 2 == 0:
                 params = plain_sgd_step(params, seqs, 0.1, ws)
             else:
-                params = dp_sgd_step(params, seqs, spec, rng, ws)
+                params = dp_sgd_step(params, seqs, spec, rng.standard_normal(params.num_params), ws)
         assert ws.buffers.keys() == before.keys()
         for name, (buf, address) in before.items():
             assert ws.buffers[name] is buf and buf.ctypes.data == address, name
+
+    @pytest.mark.parametrize("batch_size, steps", [(2, 3), (3, 2)])
+    def test_batch_beyond_the_workspace_rejected(self, tiny_params, batch_size, steps):
+        seqs = [TokenSequence((1, 2, 3, 4), "t")] * 3  # B = 3, T = 3
+        ws = lm.Workspace(tiny_params, batch_size, steps)
+        with pytest.raises(lm.LMError, match="outgrows the workspace"):
+            lm.backprop(tiny_params, seqs, ws)
 
     @pytest.mark.parametrize("private", [True, False])
     def test_warm_step_allocates_less_than_one_delta(self, private):
@@ -341,27 +351,28 @@ class TestWorkspace:
         # allocated its own (T, B, V) output errors would exceed the bound.
         V, B, T = 400, 16, 10
         params = lm.init_params(V, 4, 4, seed=0)
-        ws = lm.Workspace()
+        ws = lm.Workspace(params, B, T)
         seqs = [TokenSequence(tuple(int(x) for x in row), "t")
                 for row in np.random.default_rng(0).integers(0, V, size=(B, T + 1))]
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, delta=1e-5, alpha=2.0, eta=0.1)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.01, eta=0.1)
         if private:
-            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, 0, ws))
+            draw = np.random.default_rng(0).standard_normal(params.num_params)
+            peak = traced_peak(lambda: dp_sgd_step(params, seqs, spec, draw.copy(), ws))
         else:
             peak = traced_peak(lambda: plain_sgd_step(params, seqs, 0.1, ws))
         assert peak < 8 * T * B * V
 
     def test_step_result_never_changed_by_later_steps(self, tiny_params):
         rng = np.random.default_rng(4)
-        ws = lm.Workspace()
-        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, delta=1e-5, alpha=2.0, eta=0.1)
+        ws = lm.Workspace(tiny_params, 4, 5)
+        spec = PrivacySpec(sigma=1.0, clip_bound=0.5, eta=0.1)
         params, kept = tiny_params, []
         for k, size in enumerate([4, 2, 3, 4, 1]):
             seqs = self.random_batch(rng, 6, size, 6)
             if k % 2 == 0:
                 params = plain_sgd_step(params, seqs, 0.1, ws)
             else:
-                params = dp_sgd_step(params, seqs, spec, rng, ws)
+                params = dp_sgd_step(params, seqs, spec, rng.standard_normal(params.num_params), ws)
             kept.append((params.theta, params.theta.copy()))
             for theta, copy in kept:
                 assert np.array_equal(theta.view(np.int64), copy.view(np.int64))
