@@ -55,7 +55,7 @@ print("an overfit model ranks its planted secret at or near the top")
 # Members are the secret-revealing training lines (the ones worth protecting);
 # non-members come from the held-out split.
 secret_train = [s for s, lab in zip(train.sequences, train.labels) if lab]
-members, non_members = build_mi_dataset(secret_train, test, n=15, seed=5)
+members, non_members = build_mi_dataset(secret_train, test.sequences, n=15, seed=5)
 acc = membership_inference(params, members, non_members)
 print(f"\nmembership inference on 15+15 sequences: accuracy {acc:.3f} (chance 0.5)")
 print("memorized secrets score low perplexity and betray their membership")

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lm
-from .corpus import Corpus, TokenSequence
+from .corpus import TokenSequence
 from .lm import LMParameters
 
 
@@ -127,8 +127,8 @@ def membership_inference(
 
 
 def build_mi_dataset(
-    train_corpus: Corpus | list[TokenSequence],
-    test_corpus: Corpus | list[TokenSequence],
+    train_seqs: list[TokenSequence],
+    test_seqs: list[TokenSequence],
     n: int,
     seed: int,
 ) -> tuple[list[TokenSequence], list[TokenSequence]]:
@@ -140,13 +140,13 @@ def build_mi_dataset(
     if n < 1:
         raise AttackError("n must be >= 1")
 
-    def unique_by_text(seqs: Corpus | list[TokenSequence]) -> list[TokenSequence]:
+    def unique_by_text(seqs: list[TokenSequence]) -> list[TokenSequence]:
         first: dict[str, TokenSequence] = {}
-        for s in seqs.sequences if isinstance(seqs, Corpus) else seqs:
+        for s in seqs:
             first.setdefault(s.source_text, s)
         return list(first.values())
 
-    train_pool, test_pool = unique_by_text(train_corpus), unique_by_text(test_corpus)
+    train_pool, test_pool = unique_by_text(train_seqs), unique_by_text(test_seqs)
     if len(train_pool) < n:
         raise AttackError(f"need {n} distinct member texts, have {len(train_pool)}")
 

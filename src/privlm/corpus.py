@@ -169,7 +169,9 @@ class CanaryTemplate:
     The slot is ``slot_count`` characters drawn from ``slot_alphabet``,
     appended to the prefix as a single token. The candidate space has
     ``len(slot_alphabet) ** slot_count`` fills, enumerated in lexicographic
-    order of the alphabet as given.
+    order of the alphabet as given. A built template is valid: at least one
+    slot character and one prefix token, so every sentence has two or more
+    tokens, and at most ``DEFAULT_ENUMERATION_CAP`` candidates.
     """
 
     prefix: str
@@ -177,10 +179,10 @@ class CanaryTemplate:
     slot_count: int
 
     def __post_init__(self):
-        if self.slot_count < 0:
-            raise CorpusError("slot_count must be >= 0")
-        if self.slot_count > 0 and not self.slot_alphabet:
-            raise CorpusError("slot_alphabet must be non-empty when slot_count > 0")
+        if self.slot_count < 1:
+            raise CorpusError(f"slot_count must be >= 1, got {self.slot_count}")
+        if not self.slot_alphabet:
+            raise CorpusError("slot_alphabet must be non-empty")
         if len(set(self.slot_alphabet)) != len(self.slot_alphabet):
             raise CorpusError("slot_alphabet contains duplicate characters")
         if any(ch.isspace() for ch in self.slot_alphabet):
@@ -188,34 +190,38 @@ class CanaryTemplate:
         # Canaries are encoded lowercased: an upper-case fill would collide.
         if self.slot_alphabet != self.slot_alphabet.lower():
             raise CorpusError(f"slot_alphabet must be lower-case: {self.slot_alphabet!r}")
+        if not self.prefix.split():
+            raise CorpusError(f"prefix {self.prefix!r} must contain at least one token")
         # Otherwise the fill joins the prefix's last word into one token.
-        if self.slot_count > 0 and self.prefix and not self.prefix[-1].isspace():
+        if not self.prefix[-1].isspace():
             raise CorpusError(
                 f"prefix {self.prefix!r} must end in whitespace so the fill is its own token"
+            )
+        # n ** cap.bit_length() > cap for n >= 2, so the capped exponent decides the same
+        # without building the huge power a mistyped slot_count would ask for.
+        exponent = min(self.slot_count, DEFAULT_ENUMERATION_CAP.bit_length())
+        if len(self.slot_alphabet) ** exponent > DEFAULT_ENUMERATION_CAP:
+            raise CorpusError(
+                f"candidate space {len(self.slot_alphabet)}**{self.slot_count} exceeds "
+                f"enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
 
     @property
     def candidate_space_size(self) -> int:
-        return len(self.slot_alphabet) ** self.slot_count if self.slot_count else 1
+        return len(self.slot_alphabet) ** self.slot_count
 
     def fills(self) -> Iterator[str]:
         """All candidate fills in deterministic lexicographic order."""
-        if self.slot_count == 0:
-            yield ""
-            return
         for combo in itertools.product(self.slot_alphabet, repeat=self.slot_count):
             yield "".join(combo)
 
-    def is_valid_fill(self, fill: str) -> bool:
-        return len(fill) == self.slot_count and all(c in self.slot_alphabet for c in fill)
-
     def sentence(self, fill: str) -> str:
-        if not self.is_valid_fill(fill):
+        if len(fill) != self.slot_count or any(c not in self.slot_alphabet for c in fill):
             raise CorpusError(
                 f"fill {fill!r} is not in the slot space "
                 f"(alphabet {self.slot_alphabet!r}, {self.slot_count} chars)"
             )
-        return (self.prefix + fill).strip() if fill else self.prefix.strip()
+        return (self.prefix + fill).strip()
 
 
 def load_corpus(
@@ -309,31 +315,20 @@ def extend_vocabulary_for_template(vocabulary: Vocabulary, template: CanaryTempl
     Exposure ranking compares the model's perplexity across the whole fill
     space, so every fill must be a real vocabulary entry; otherwise unseen
     fills collapse onto the unknown token and ranks degenerate.
+    ``plant_canary`` is the package's one caller.
     """
-    _check_space(template)
     for tok in tokenize(template.prefix):
         vocabulary.add(tok)
     for fill in template.fills():
-        if fill:
-            vocabulary.add(fill)
-
-
-def _check_space(template: CanaryTemplate) -> None:
-    if template.candidate_space_size > DEFAULT_ENUMERATION_CAP:
-        raise CorpusError(
-            f"candidate space {template.candidate_space_size} exceeds enumeration cap "
-            f"{DEFAULT_ENUMERATION_CAP}"
-        )
+        vocabulary.add(fill)
 
 
 def canary_sentence(template: CanaryTemplate, fill: str, max_len: int) -> str:
     """The canary ``plant_canary`` plants, after every check it makes before planting.
 
-    ``fill`` must be in the slot space, the space within the enumeration cap,
-    and the sentence at most ``max_len`` tokens, since truncating it could
-    cut off the secret the attacks rank.
+    ``fill`` must be in the slot space and the sentence at most ``max_len``
+    tokens, since truncating it could cut off the secret the attacks rank.
     """
-    _check_space(template)
     sentence = template.sentence(fill)
     n_tokens = len(tokenize(sentence))
     if n_tokens > max_len:
@@ -367,9 +362,6 @@ def plant_canary(
         return Corpus(list(corpus.sequences), corpus.vocabulary, labels), []
 
     canary = TokenSequence.from_text(sentence, corpus.vocabulary)
-    if len(canary) < 2:
-        raise CorpusError("instantiated canary must have at least two tokens")
-
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     seqs = list(corpus.sequences)
     labels = list(corpus.labels) if corpus.labels is not None else None
@@ -388,19 +380,20 @@ def plant_canary(
 def enumerate_canaries(template: CanaryTemplate, vocabulary: Vocabulary) -> list[TokenSequence]:
     """All instantiated canaries, in lexicographic fill order.
 
-    Candidates are encoded under ``vocabulary``; tokens the vocabulary does
-    not already contain are appended. Exactly ``candidate_space_size``
-    sequences are returned. The prefix is encoded once: ``CanaryTemplate``
-    guarantees that a fill is its own token, so each candidate is the prefix
-    ids plus the fill's id, as ``TokenSequence.from_text`` would encode it.
+    Candidates are encoded under ``vocabulary``, which is only read: a prefix
+    token or fill that ``plant_canary`` has not added raises ``CorpusError``.
+    The prefix is encoded once: ``CanaryTemplate`` guarantees that a fill is
+    its own token, so each candidate is the prefix ids plus the fill's id, as
+    ``TokenSequence.from_text`` would encode it.
     """
-    extend_vocabulary_for_template(vocabulary, template)
-    prefix_ids = tuple(vocabulary.encode_tokens(tokenize(template.prefix)))
+    prefix = tokenize(template.prefix)
+    tokens = itertools.chain(prefix, template.fills())
+    missing = next((tok for tok in tokens if tok not in vocabulary), None)
+    if missing is not None:
+        raise CorpusError(f"canary token {missing!r} is not in the vocabulary; plant_canary adds it")
+    prefix_ids = tuple(vocabulary.encode_tokens(prefix))
     return [
-        TokenSequence(
-            ids=prefix_ids + (vocabulary.id_of(fill),) if fill else prefix_ids,
-            source_text=template.sentence(fill),
-        )
+        TokenSequence(ids=prefix_ids + (vocabulary.id_of(fill),), source_text=template.sentence(fill))
         for fill in template.fills()
     ]
 

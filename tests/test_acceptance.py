@@ -357,7 +357,7 @@ def test_criterion_07_membership_inference(desk_bundle):
     config = runs["nodp"]["config"]
     train_corpus, test_corpus, _, _ = prepare_data(config)
     members, non_members = build_mi_dataset(
-        train_corpus, test_corpus, DESK["mi_n"], seed=_derived_seed(1, "mi")
+        train_corpus.sequences, test_corpus.sequences, DESK["mi_n"], seed=_derived_seed(1, "mi")
     )
     untrained = lm.init_params(train_corpus.vocabulary.size, DESK["d"], DESK["d"], seed=2)
     mi_untrained = membership_inference(untrained, members, non_members)

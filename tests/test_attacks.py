@@ -16,7 +16,13 @@ from privlm.attacks import (
     membership_inference,
     rank_from_perplexities,
 )
-from privlm.corpus import CanaryTemplate, Corpus, TokenSequence, Vocabulary, enumerate_canaries
+from privlm.corpus import (
+    CanaryTemplate,
+    TokenSequence,
+    Vocabulary,
+    enumerate_canaries,
+    extend_vocabulary_for_template,
+)
 
 from oracles import mi_accuracy_recount, rank_by_sorting
 
@@ -83,6 +89,7 @@ class TestRank:
     def test_end_to_end_with_real_model(self):
         vocab = Vocabulary()
         template = CanaryTemplate("secret code ", "12", 2)
+        extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         params = lm.init_params(vocab.size, 6, 6, seed=2)
         planted = 3
@@ -95,15 +102,15 @@ class TestRank:
 @st.composite
 def canary_spaces(draw):
     """A hypothesis-drawn template's candidates and an untrained model over them."""
-    slot_count = draw(st.integers(0, 3))
+    slot_count = draw(st.integers(1, 3))
     alphabet = draw(st.lists(st.sampled_from("0123456789abcdef"), min_size=1, max_size=9,
                              unique=True))
     word = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
-    # A fill-less candidate is the prefix alone, so it needs two words to be scorable.
-    words = draw(st.lists(word, min_size=1 if slot_count else 2, max_size=5))
+    words = draw(st.lists(word, min_size=1, max_size=5))
+    template = CanaryTemplate(" ".join(words) + " ", "".join(alphabet), slot_count)
     vocab = Vocabulary()
-    candidates = enumerate_canaries(CanaryTemplate(" ".join(words) + " ", "".join(alphabet),
-                                                   slot_count), vocab)
+    extend_vocabulary_for_template(vocab, template)
+    candidates = enumerate_canaries(template, vocab)
     d = draw(st.integers(1, 8))
     params = lm.init_params(vocab.size, d, d, seed=draw(st.integers(0, 2**16)))
     return params, candidates
@@ -165,7 +172,9 @@ class TestCandidatePerplexities:
 
     def test_fill_id_out_of_range_rejected(self):
         vocab = Vocabulary()
-        candidates = enumerate_canaries(CanaryTemplate("code ", "12", 1), vocab)
+        template = CanaryTemplate("code ", "12", 1)
+        extend_vocabulary_for_template(vocab, template)
+        candidates = enumerate_canaries(template, vocab)
         params = lm.init_params(vocab.size, 3, 3, seed=0)
         bad = candidates + [TokenSequence(candidates[0].ids[:-1] + (vocab.size,), "x")]
         with pytest.raises(AttackError, match="out of range"):
@@ -254,43 +263,36 @@ class TestMembershipInference:
 
 
 class TestBuildMiDataset:
-    def corpus_of(self, texts):
-        vocab = Vocabulary()
-        for t in texts:
-            for tok in t.split():
-                vocab.add(tok)
-        return Corpus([TokenSequence.from_text(t, vocab) for t in texts], vocab)
-
     def test_fifty_fifty(self):
-        train = self.corpus_of([f"train{i} x" for i in range(80)])
-        test = self.corpus_of([f"test{i} x" for i in range(80)])
+        train = seqs_from([f"train{i} x" for i in range(80)])
+        test = seqs_from([f"test{i} x" for i in range(80)])
         members, non_members = build_mi_dataset(train, test, 50, seed=1)
         assert len(members) == len(non_members) == 50
 
     def test_deterministic(self):
-        train = self.corpus_of([f"train{i} x" for i in range(30)])
-        test = self.corpus_of([f"test{i} x" for i in range(30)])
+        train = seqs_from([f"train{i} x" for i in range(30)])
+        test = seqs_from([f"test{i} x" for i in range(30)])
         a = build_mi_dataset(train, test, 10, seed=4)
         b = build_mi_dataset(train, test, 10, seed=4)
         assert [s.source_text for s in a[0]] == [s.source_text for s in b[0]]
         assert [s.source_text for s in a[1]] == [s.source_text for s in b[1]]
 
     def test_singletons(self):
-        train = self.corpus_of(["only train x"])
-        test = self.corpus_of(["only test x"])
+        train = seqs_from(["only train x"])
+        test = seqs_from(["only test x"])
         members, non_members = build_mi_dataset(train, test, 1, seed=0)
         assert len(members) == len(non_members) == 1
 
     def test_disjoint_texts_even_with_overlap(self):
         shared = [f"shared{i} x" for i in range(20)]
-        train = self.corpus_of(shared + [f"t{i} x" for i in range(20)])
-        test = self.corpus_of(shared + [f"s{i} x" for i in range(20)])
+        train = seqs_from(shared + [f"t{i} x" for i in range(20)])
+        test = seqs_from(shared + [f"s{i} x" for i in range(20)])
         members, non_members = build_mi_dataset(train, test, 15, seed=2)
         assert not {m.source_text for m in members} & {n.source_text for n in non_members}
 
     def test_duplicates_collapse_before_sampling(self):
-        train = self.corpus_of(["dup x"] * 50 + ["other y"])
-        test = self.corpus_of([f"test{i} x" for i in range(10)])
+        train = seqs_from(["dup x"] * 50 + ["other y"])
+        test = seqs_from([f"test{i} x" for i in range(10)])
         members, _ = build_mi_dataset(train, test, 2, seed=3)
         assert sorted(m.source_text for m in members) == ["dup x", "other y"]
 
@@ -302,8 +304,8 @@ class TestBuildMiDataset:
         assert members[0] is first
 
     def test_insufficient_data_rejected(self):
-        train = self.corpus_of(["a x", "b y"])
-        test = self.corpus_of(["c z"])
+        train = seqs_from(["a x", "b y"])
+        test = seqs_from(["c z"])
         with pytest.raises(AttackError, match="non-member"):
             build_mi_dataset(train, test, 2, seed=0)
 
@@ -312,6 +314,7 @@ class TestDumpTable:
     def test_csv_contents(self, tmp_path):
         vocab = Vocabulary()
         template = CanaryTemplate("code ", "12", 1)
+        extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         ppls = np.array([3.0, 1.5])
         path = tmp_path / "table.csv"
@@ -324,6 +327,7 @@ class TestDumpTable:
     def test_commas_in_candidates_are_quoted(self, tmp_path):
         vocab = Vocabulary()
         template = CanaryTemplate("my code, is ", "1,2", 1)
+        extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         ppls = np.array([3.0, 1.5, 2.25])
         path = tmp_path / "table.csv"

@@ -195,7 +195,8 @@ class TestCanaryTemplate:
     def test_candidate_space_sizes(self):
         assert CanaryTemplate("p ", "0123456789", 3).candidate_space_size == 1000
         assert CanaryTemplate("p ", "123456789", 3).candidate_space_size == 729
-        assert CanaryTemplate("p ", "123456789", 0).candidate_space_size == 1
+        with pytest.raises(CorpusError, match="slot_count must be >= 1"):
+            CanaryTemplate("p ", "123456789", 0)
 
     def test_fills_are_lexicographic_and_unique(self):
         template = CanaryTemplate("p ", "ab", 2)
@@ -215,8 +216,12 @@ class TestCanaryTemplate:
         with pytest.raises(CorpusError, match="whitespace"):
             CanaryTemplate("secret code", "12", 2)
         assert CanaryTemplate("secret code\t", "12", 2).candidate_space_size == 4
-        assert CanaryTemplate("", "12", 2).candidate_space_size == 4
-        assert CanaryTemplate("just the prefix", "12", 0).candidate_space_size == 1
+        # A prefix needs a token: otherwise the canary is the fill alone, too short to score.
+        for prefix in ("", "   "):
+            with pytest.raises(CorpusError, match="at least one token"):
+                CanaryTemplate(prefix, "12", 2)
+        with pytest.raises(CorpusError, match="slot_count must be >= 1"):
+            CanaryTemplate("just the prefix", "12", 0)
 
 
 class TestPlantCanary:
@@ -295,59 +300,68 @@ class TestEnumerateCanaries:
     def test_digit_alphabet_1000(self):
         vocab = Vocabulary()
         template = CanaryTemplate("code ", "0123456789", 3)
+        extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         assert len(candidates) == 1000
 
     def test_nonzero_digit_alphabet_729(self):
         vocab = Vocabulary()
         template = CanaryTemplate("code ", "123456789", 3)
+        extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         assert len(candidates) == 729
 
     def test_slot_count_zero_single_candidate(self):
-        vocab = Vocabulary()
-        template = CanaryTemplate("just the prefix", "123456789", 0)
-        candidates = enumerate_canaries(template, vocab)
-        assert len(candidates) == 1
-        assert candidates[0].source_text == "just the prefix"
+        # A fill-less template is rejected when built, so there is nothing to enumerate.
+        with pytest.raises(CorpusError, match="slot_count must be >= 1"):
+            CanaryTemplate("just the prefix", "123456789", 0)
 
     def test_no_duplicates_and_expected_size(self):
         vocab = Vocabulary()
         template = CanaryTemplate("x ", "abc", 2)
+        extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         texts = [c.source_text for c in candidates]
         assert len(set(texts)) == len(texts) == 9
 
     def test_cap_enforced(self):
-        vocab = Vocabulary()
-        template = CanaryTemplate("x ", "0123456789", 6)
-        with pytest.raises(CorpusError, match="cap"):
-            enumerate_canaries(template, vocab)
+        # 10**5000 has more digits than Python prints by default, so the message must not print it.
+        for slot_count in (6, 5000):
+            with pytest.raises(CorpusError, match="cap"):
+                CanaryTemplate("x ", "0123456789", slot_count)
+        assert CanaryTemplate("x ", "0123456789", 4).candidate_space_size == 10_000
+
+    def test_missing_token_raises_and_leaves_vocabulary_unchanged(self):
+        template = CanaryTemplate("code ", "12", 2)
+        for vocab, missing in ((Vocabulary(["code", "11", "12", "21"]), "'22'"),
+                               (Vocabulary(["11", "12", "21", "22"]), "'code'")):
+            tokens = vocab.tokens
+            with pytest.raises(CorpusError, match=missing):
+                enumerate_canaries(template, vocab)
+            assert vocab.tokens == tokens
 
     @settings(max_examples=150, deadline=None)
     @given(
-        words=st.lists(st.text("aZé東\u0130\u03a3\u03c2😀-", min_size=1, max_size=4), max_size=4),
+        words=st.lists(st.text("aZé東\u0130\u03a3\u03c2😀-", min_size=1, max_size=4),
+                       min_size=1, max_size=4),
         gaps=st.lists(st.sampled_from([" ", "\t", "\u3000", "  "]), min_size=5, max_size=5),
         alphabet=st.sets(st.sampled_from("0123456789azé\u03c3\u03c2中-"), min_size=1, max_size=4),
-        slot_count=st.integers(0, 2),
+        slot_count=st.integers(1, 2),
         known=st.lists(st.sampled_from(["a", "z", "1", "é", "東", "other"]), max_size=4),
     )
     def test_equals_encoding_each_sentence(self, words, gaps, alphabet, slot_count, known):
         # The shared-prefix encoding must equal TokenSequence.from_text on
         # every candidate sentence, including prefixes whose lowercase
         # changes length (U+0130) or context (final sigma).
-        if slot_count == 0 and not words:
-            words = ["a"]
         prefix = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:] * 2))
         template = CanaryTemplate(prefix, "".join(sorted(alphabet)), slot_count)
-        vocab, reference = Vocabulary(known), Vocabulary(known)
+        vocab = Vocabulary(known)
+        extend_vocabulary_for_template(vocab, template)
+        tokens = vocab.tokens
         candidates = enumerate_canaries(template, vocab)
-        extend_vocabulary_for_template(reference, template)
-        expected = [TokenSequence.from_text(template.sentence(f), reference) for f in template.fills()]
+        expected = [TokenSequence.from_text(template.sentence(f), vocab) for f in template.fills()]
         assert candidates == expected
-        assert [vocab.token_of(i) for i in range(vocab.size)] == [
-            reference.token_of(i) for i in range(reference.size)
-        ]
+        assert vocab.tokens == tokens
 
 
 class TestMinibatches:

@@ -389,14 +389,14 @@ class TestContextAudit:
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         audit = audit_context(params, seq, target_index=5, alpha=1.0,
-                              cfg=identity_augmentation())
+                              cfg=identity_augmentation(), vocabulary=vocab)
         assert audit.found and audit.length == 0
 
     def test_alpha_zero_identity_full_prefix_qualifies(self, context_lm):
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         audit = audit_context(params, seq, target_index=5, alpha=0.0,
-                              cfg=identity_augmentation())
+                              cfg=identity_augmentation(), vocabulary=vocab)
         assert audit.found
         assert audit.length <= 4
         # full prefix always ties itself, so the worst case is the full prefix
@@ -406,7 +406,7 @@ class TestContextAudit:
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         audit = audit_context(params, seq, target_index=5, alpha=0.1,
-                              cfg=identity_augmentation())
+                              cfg=identity_augmentation(), vocabulary=vocab)
         assert audit.found
         assert 0 < audit.length < 4  # a proper suffix, shorter than the full prefix
 
@@ -430,7 +430,7 @@ class TestContextAudit:
                 shortest = length
                 break
         audit = audit_context(params, seq, target_index=5, alpha=alpha,
-                              cfg=identity_augmentation())
+                              cfg=identity_augmentation(), vocabulary=vocab)
         assert audit.found and audit.length == shortest
 
     def test_length_monotone_nonincreasing_in_alpha(self, context_lm):
@@ -439,7 +439,7 @@ class TestContextAudit:
         lengths = []
         for alpha in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
             audit = audit_context(params, seq, target_index=5, alpha=alpha,
-                                  cfg=identity_augmentation())
+                                  cfg=identity_augmentation(), vocabulary=vocab)
             lengths.append(audit.length if audit.found else float("inf"))
         assert lengths == sorted(lengths, reverse=True)
 
@@ -447,8 +447,6 @@ class TestContextAudit:
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         cfg = AugmentationConfig(synonym_table={"security": ["safety"]}, substitution_rate=1.0)
-        with pytest.raises(DetectorError, match="vocabulary"):
-            audit_context(params, seq, target_index=5, alpha=0.5, cfg=cfg)
         audit = audit_context(params, seq, target_index=5, alpha=1.0, cfg=cfg, vocabulary=vocab)
         assert audit.found
 
@@ -474,6 +472,8 @@ class TestContextAudit:
         params, vocab = context_lm
         seq = TokenSequence.from_text("security code is 450", vocab)
         with pytest.raises(DetectorError):
-            audit_context(params, seq, target_index=0, alpha=0.1, cfg=identity_augmentation())
+            audit_context(params, seq, target_index=0, alpha=0.1, cfg=identity_augmentation(),
+                          vocabulary=vocab)
         with pytest.raises(DetectorError):
-            audit_context(params, seq, target_index=5, alpha=0.1, cfg=identity_augmentation())
+            audit_context(params, seq, target_index=5, alpha=0.1, cfg=identity_augmentation(),
+                          vocabulary=vocab)

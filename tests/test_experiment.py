@@ -143,6 +143,7 @@ class TestConfigParsing:
         ("eta", 0), ("eta", -1), ("eta", "nan"), ("d_emb", 0), ("d_hid", 0),
         ("train_fraction", 0), ("train_fraction", 1.0), ("max_seq_len", 1),
         ("mi_n", 0), ("mi_n", -3), ("substitution_rate", -0.1), ("substitution_rate", 1.5),
+        ("seed_data", -1), ("seed_init", -1), ("seed_noise", -1),
     ])
     def test_out_of_range_value_rejected_before_the_run_directory(self, tmp_path, data_dir,
                                                                   regime, key, value):
@@ -156,6 +157,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides, match", [
         ({"canary_count": -1}, "canary_count must be >= 0"),
         ({"canary_slot_count": -1}, "slot_count"),
+        ({"canary_slot_count": 0}, "slot_count must be >= 1"),
         ({"canary_slot_alphabet": "112"}, "duplicate"),
         ({"canary_slot_alphabet": "AB", "canary_fill": "AB"}, "lower-case"),
         ({"canary_fill": "44"}, "slot space"),
@@ -670,7 +672,7 @@ class TestDetectorTraining:
 
     @pytest.mark.parametrize("key, value", [
         ("epochs", -5), ("epochs", 0), ("eta", 0), ("eta", -1), ("eta", "nan"),
-        ("val_fraction", 0), ("val_fraction", 1),
+        ("val_fraction", 0), ("val_fraction", 1), ("seed", -1),
     ])
     def test_out_of_range_training_value_rejected(self, data_dir, tmp_path, key, value):
         out = tmp_path / "det" / "det.bin"
