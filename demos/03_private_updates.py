@@ -55,23 +55,17 @@ eps_step = privacy.gaussian_rdp_epsilon(sigma=1.0, alpha=2.0)
 print(f"\nper-step RDP cost at alpha=2, sigma=1: {eps_step}")
 print(f"converted alone to (eps, 1e-5)-DP: {privacy.rdp_to_dp(eps_step, 2.0, 1e-5):.4f}")
 
-state = privacy.AccountantState(
-    epochs=20, sensitive_count=178, batch_size=32,
-    per_step_epsilon=eps_step, gamma=1.0, alpha=2.0,
-)
-eps_total, delta = privacy.selective_dp_budget(state, delta=1e-5)
+claim = dict(epochs=20, sensitive_count=178, batch_size=32,
+             per_step_epsilon=eps_step, alpha=2.0)
+eps_total = privacy.selective_dp_budget(**claim, gamma=1.0, delta=1e-5)
 print(f"selective budget over 20 epochs, 178 sensitive sequences, batch 32: "
-      f"eps={eps_total:.2f}, delta={delta}")
+      f"eps={eps_total:.2f}, delta=1e-05")
 
 # The detector's true-positive rate floors delta: a missed sensitive
 # sequence is trained with no noise at all.
-state_gamma = privacy.AccountantState(
-    epochs=20, sensitive_count=178, batch_size=32,
-    per_step_epsilon=eps_step, gamma=0.99, alpha=2.0,
-)
 try:
-    privacy.selective_dp_budget(state_gamma, delta=1e-5)
+    privacy.selective_dp_budget(**claim, gamma=0.99, delta=1e-5)
 except privacy.PrivacyError as exc:
     print(f"\ndelta below 1-gamma is rejected: {exc}")
-eps_ok, _ = privacy.selective_dp_budget(state_gamma, delta=0.02)
+eps_ok = privacy.selective_dp_budget(**claim, gamma=0.99, delta=0.02)
 print(f"with delta=0.02 > 1-0.99 it passes: eps={eps_ok:.2f}")

@@ -44,7 +44,6 @@ from .lm import (
     init_params,
 )
 from .privacy import (
-    AccountantState,
     PrivacySpec,
     dp_sgd_step,
     gaussian_rdp_epsilon,

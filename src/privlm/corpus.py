@@ -11,6 +11,7 @@ explicit integer seeds, so every derived object is reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -28,6 +29,12 @@ DEFAULT_ENUMERATION_CAP = 10_000
 
 class CorpusError(ValueError):
     """Raised for malformed corpus inputs or invalid corpus operations."""
+
+
+def derived_seed(base: int, tag: str) -> int:
+    """A 64-bit seed for one named use of ``base``: blake2b of ``f"{base}|{tag}"``."""
+    digest = hashlib.blake2b(f"{base}|{tag}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:

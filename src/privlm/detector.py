@@ -33,7 +33,6 @@ every paraphrased suffix are scored in one batched language-model pass.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from . import lm
-from .corpus import TokenSequence, Vocabulary, tokenize
+from .corpus import TokenSequence, Vocabulary, derived_seed, tokenize
 from .lm import LMParameters
 
 DETECTOR_MAGIC = "DETECTOR1"
@@ -113,8 +112,7 @@ def paraphrase(text: str, cfg: AugmentationConfig, variant_index: int = 0) -> st
     with probability ``substitution_rate``; word count is preserved and
     words without entries pass through unchanged.
     """
-    payload = f"{cfg.seed}|{variant_index}|{text}".encode("utf-8")
-    stream_seed = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+    stream_seed = derived_seed(cfg.seed, f"{variant_index}|{text}")
     rng = np.random.default_rng(np.random.SeedSequence([stream_seed]))
     out = []
     for word in text.split():

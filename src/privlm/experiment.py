@@ -50,7 +50,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import ctypes
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -71,6 +70,7 @@ from .corpus import (
     TokenSequence,
     Vocabulary,
     canary_sentence,
+    derived_seed,
     enumerate_canaries,
     load_corpus,
     minibatches,
@@ -246,6 +246,13 @@ class ExperimentConfig:
         for key, (ok, rule) in ranges.items():
             if not ok:
                 raise ExperimentError(f"{key} must be {rule}, got {v[key]}")
+        for pattern in v["secret_pattern"]:
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                raise ExperimentError(
+                    f"secret_pattern must be a valid regex, got {pattern!r}: {exc}"
+                ) from exc
         if v["mi_members"] not in ("sensitive", "all"):
             raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
@@ -304,31 +311,31 @@ def _one_blas_thread():
         set_(previous)
 
 
-def _derived_seed(base: int, tag: str) -> int:
-    digest = hashlib.blake2b(f"{base}|{tag}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 # --------------------------------------------------------------------------
 # Training
 # --------------------------------------------------------------------------
 
-def _sensitivity_flags(
+def _partition(
     config: ExperimentConfig,
     train: Corpus,
     det: detector_mod.DetectorModel | None,
-) -> dict[str, bool]:
-    """Per-text sensitivity decision for the run's partitioning rule."""
+) -> tuple[dict[str, bool], float | None]:
+    """(sensitivity flag per distinct text, gamma of the run's privacy claim).
+
+    gamma, the true-positive rate the claim assumes of the partition, is None
+    for ``nodp`` (no claim), 1.0 for ``dpsgd`` and ``sdpsgd`` (whose regexes
+    are taken to catch every secret), and the detector's measured rate for ``cadp``.
+    """
     regime = config["regime"]
     texts = sorted(set(train.texts()))
     if regime == "nodp":
-        return {t: False for t in texts}
+        return {t: False for t in texts}, None
     if regime == "dpsgd":
-        return {t: True for t in texts}
+        return {t: True for t in texts}, 1.0
     if regime == "sdpsgd":
         patterns = [re.compile(p) for p in config["secret_pattern"] if p]
-        return {t: any(p.search(t) for p in patterns) for t in texts}
-    return dict(zip(texts, det.flags(texts).tolist()))
+        return {t: any(p.search(t) for p in patterns) for t in texts}, 1.0
+    return dict(zip(texts, det.flags(texts).tolist())), det.measured_gamma
 
 
 def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], int | None]:
@@ -354,7 +361,7 @@ def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], i
             template,
             config["canary_fill"],
             config["canary_count"],
-            seed=_derived_seed(config["seed_data"], "plant"),
+            seed=derived_seed(config["seed_data"], "plant"),
             max_len=config["max_seq_len"],
         )
         planted_idx = list(template.fills()).index(config["canary_fill"])
@@ -401,7 +408,7 @@ def train(config: ExperimentConfig) -> dict:
             positions,
         )
 
-    flags = _sensitivity_flags(config, train_corpus, det)
+    flags, gamma = _partition(config, train_corpus, det)
     sensitive_count = sum(1 for s in train_corpus.sequences if flags[s.source_text])
 
     spec = privacy.PrivacySpec(sigma=config["sigma"], clip_bound=config["clip_bound"],
@@ -469,28 +476,23 @@ def train(config: ExperimentConfig) -> dict:
             )
 
     manifest["private_step_count"] = private_steps
-    if config["regime"] != "nodp" and not diverged:
-        gamma = det.measured_gamma if det is not None else 1.0
-        per_step_eps = privacy.gaussian_rdp_epsilon(config["sigma"], config["rdp_alpha"])
-        state = privacy.AccountantState(
-            epochs=config["epochs"],
-            sensitive_count=sensitive_count,
-            batch_size=config["batch_size"],
-            per_step_epsilon=per_step_eps,
-            gamma=gamma,
-            alpha=config["rdp_alpha"],
-        )
+    if gamma is not None and not diverged:
+        claim = {
+            "epochs": config["epochs"],
+            "sensitive_count": sensitive_count,
+            "batch_size": config["batch_size"],
+            "per_step_epsilon": privacy.gaussian_rdp_epsilon(config["sigma"], config["rdp_alpha"]),
+            "alpha": config["rdp_alpha"],
+            "gamma": gamma,
+        }
         try:
-            eps_total, _ = privacy.selective_dp_budget(state, config["delta"])
+            eps_total = privacy.selective_dp_budget(**claim, delta=config["delta"])
             manifest["audit"] = {
-                **dataclasses.asdict(state),
+                **claim,
                 "sigma": config["sigma"],
                 "clip_bound": config["clip_bound"],
                 "delta": config["delta"],
                 "eps_total": eps_total,
-                "sequential_composition_reference_eps": privacy.sequential_composition_budget(
-                    per_step_eps, private_steps, config["rdp_alpha"], config["delta"]
-                ),
             }
         except privacy.PrivacyError as exc:
             manifest["audit"] = {"error": str(exc)}
@@ -598,7 +600,7 @@ def run_attacks(
         member_pool = [s for s, lab in zip(member_pool, train_corpus.labels) if lab]
     members, non_members = attacks_mod.build_mi_dataset(
         member_pool, test_corpus.sequences, config["mi_n"],
-        seed=_derived_seed(config["seed_data"], "mi"),
+        seed=derived_seed(config["seed_data"], "mi"),
     )
     mi_acc = attacks_mod.membership_inference(params, members, non_members)
 

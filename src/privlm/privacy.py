@@ -25,15 +25,12 @@ and of scaling the entries, so a clipped example's scaled gradient has float
 norm <= C; an example left unscaled has n <= C, so its norm is at most C up
 to the rounding of n (ghost norms match materialised ones to ~1e-15).
 
-Accounting: a single private step is (alpha, alpha/(2*sigma^2))-RDP. The
-selective training budget composes this linearly over epochs and the
+Accounting: a single private step is (alpha, alpha/(2*sigma^2))-RDP.
+``selective_dp_budget`` composes this linearly over epochs and the
 sensitive-set size and converts to (eps, delta)-DP by adding
 log(1/delta)/(alpha-1); delta must exceed one minus the detector's
-true-positive rate, because undetected sensitive sequences receive no
-protection at all. A standard sequential-composition figure (per-step
-epsilon times the number of private steps, then converted) is reported
-alongside as a sanity reference; it is a different quantity, not a
-replacement.
+true-positive rate gamma, because undetected sensitive sequences receive no
+protection at all.
 
 Natural logarithms throughout.
 """
@@ -78,37 +75,6 @@ class PrivacySpec:
             raise PrivacyError(f"sigma must be > 0, got {self.sigma}")
         if self.clip_bound <= 0:
             raise PrivacyError(f"clip_bound must be > 0, got {self.clip_bound}")
-
-
-@dataclass
-class AccountantState:
-    """Inputs of the selective composition bound.
-
-    ``epochs`` is the iteration count T of the training loop (counted in
-    epochs, matching how the bound is stated), ``sensitive_count`` the number
-    of training sequences routed to private updates, ``per_step_epsilon`` the
-    order-``alpha`` RDP cost of one private step, and ``gamma`` the detector's
-    measured true-positive rate.
-    """
-
-    epochs: int
-    sensitive_count: int
-    batch_size: int
-    per_step_epsilon: float
-    gamma: float
-    alpha: float
-
-    def __post_init__(self):
-        if min(self.epochs, self.sensitive_count, self.batch_size) < 0:
-            raise PrivacyError("accountant counts must be >= 0")
-        if self.batch_size == 0:
-            raise PrivacyError("batch_size must be > 0")
-        if self.per_step_epsilon < 0:
-            raise PrivacyError("per_step_epsilon must be >= 0")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise PrivacyError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.alpha <= 1:
-            raise PrivacyError(f"alpha must be > 1, got {self.alpha}")
 
 
 def scales_for_norms(norms: np.ndarray, clip_bound: float) -> np.ndarray:
@@ -224,33 +190,30 @@ def rdp_to_dp(eps_rdp: float, alpha: float, delta: float) -> float:
     return eps_rdp + math.log(1.0 / delta) / (alpha - 1.0)
 
 
-def selective_dp_budget(state: AccountantState, delta: float) -> tuple[float, float]:
-    """Total (eps, delta)-DP of selective training, per the composition bound.
+def selective_dp_budget(*, epochs: int, sensitive_count: int, batch_size: int,
+                        per_step_epsilon: float, alpha: float, gamma: float,
+                        delta: float) -> float:
+    """Total eps of selective training at ``delta``, per the composition bound.
 
-    eps = T * N_S * eps_step / |B| + ln(1/delta)/(alpha - 1), valid for any
-    delta in (1 - gamma, 1): the detector misses a sensitive sequence with
-    probability 1 - gamma, and a missed sequence is trained without noise, so
-    no smaller failure probability can be honoured.
+    eps = T * N_S * eps_step / |B| + ln(1/delta)/(alpha - 1) for T ``epochs``,
+    N_S ``sensitive_count`` privately trained sequences and eps_step the
+    order-``alpha`` RDP cost of one private step. It is valid only for delta
+    in (1 - gamma, 1), gamma being the partition's true-positive rate: a
+    missed sensitive sequence is trained without noise.
     """
-    rdp = state.epochs * state.sensitive_count * state.per_step_epsilon / state.batch_size
-    eps_total = rdp_to_dp(rdp, state.alpha, delta)
-    floor = 1.0 - state.gamma
+    if min(epochs, sensitive_count) < 0:
+        raise PrivacyError("accountant counts must be >= 0")
+    if batch_size < 1:
+        raise PrivacyError(f"batch_size must be >= 1, got {batch_size}")
+    if per_step_epsilon < 0:
+        raise PrivacyError("per_step_epsilon must be >= 0")
+    if not (0.0 <= gamma <= 1.0):
+        raise PrivacyError(f"gamma must be in [0, 1], got {gamma}")
+    eps_total = rdp_to_dp(epochs * sensitive_count * per_step_epsilon / batch_size, alpha, delta)
+    floor = 1.0 - gamma
     if delta <= floor:
         raise PrivacyError(
             f"delta={delta} violates the detector true-positive-rate constraint: "
-            f"delta must exceed 1 - gamma = {floor} (gamma={state.gamma})"
+            f"delta must exceed 1 - gamma = {floor} (gamma={gamma})"
         )
-    return eps_total, delta
-
-
-def sequential_composition_budget(
-    per_step_epsilon: float, num_private_steps: int, alpha: float, delta: float
-) -> float:
-    """Reference figure: plain sequential RDP composition over the private steps.
-
-    Not the selective bound above; emitted alongside it so the unusual
-    T*N_S/|B| scaling can be compared against the textbook composition.
-    """
-    if num_private_steps < 0:
-        raise PrivacyError("num_private_steps must be >= 0")
-    return rdp_to_dp(per_step_epsilon * num_private_steps, alpha, delta)
+    return eps_total

@@ -21,7 +21,7 @@ import pytest
 import privlm
 from privlm import lm, privacy, synth
 from privlm.attacks import membership_inference, build_mi_dataset
-from privlm.corpus import TokenSequence
+from privlm.corpus import TokenSequence, derived_seed
 from privlm.detector import (
     AugmentationConfig,
     build_detector_dataset,
@@ -33,12 +33,11 @@ from privlm.detector import (
 )
 from privlm.experiment import (
     ExperimentConfig,
-    _derived_seed,
     prepare_data,
     run_attacks,
     train,
 )
-from privlm.privacy import AccountantState, PrivacyError, PrivacySpec
+from privlm.privacy import PrivacyError, PrivacySpec
 
 from conftest import record_acceptance
 from oracles import (
@@ -239,15 +238,13 @@ def test_criterion_03_accountant_exactness():
     # Hand-computed: T*N_S*eps/|B| + ln(1e5). The stated inputs give
     # 10 + ln(1e5); with |B|=5 the linear term is 100, reproducing the
     # 111.5129... figure.
-    eps_a, _ = privacy.selective_dp_budget(
-        AccountantState(epochs=10, sensitive_count=100, batch_size=50,
-                        per_step_epsilon=0.5, gamma=1.0, alpha=2.0),
-        1e-5,
+    eps_a = privacy.selective_dp_budget(
+        epochs=10, sensitive_count=100, batch_size=50,
+        per_step_epsilon=0.5, gamma=1.0, alpha=2.0, delta=1e-5,
     )
-    eps_b, _ = privacy.selective_dp_budget(
-        AccountantState(epochs=10, sensitive_count=100, batch_size=5,
-                        per_step_epsilon=0.5, gamma=1.0, alpha=2.0),
-        1e-5,
+    eps_b = privacy.selective_dp_budget(
+        epochs=10, sensitive_count=100, batch_size=5,
+        per_step_epsilon=0.5, gamma=1.0, alpha=2.0, delta=1e-5,
     )
     exact_ok = (
         abs(eps_a - 21.51292546497023) < 1e-9 and abs(eps_b - 111.51292546497022) < 1e-9
@@ -256,9 +253,8 @@ def test_criterion_03_accountant_exactness():
     rejected = False
     try:
         privacy.selective_dp_budget(
-            AccountantState(epochs=10, sensitive_count=100, batch_size=50,
-                            per_step_epsilon=0.5, gamma=0.99, alpha=2.0),
-            1e-5,
+            epochs=10, sensitive_count=100, batch_size=50,
+            per_step_epsilon=0.5, gamma=0.99, alpha=2.0, delta=1e-5,
         )
     except PrivacyError:
         rejected = True
@@ -357,7 +353,7 @@ def test_criterion_07_membership_inference(desk_bundle):
     config = runs["nodp"]["config"]
     train_corpus, test_corpus, _, _ = prepare_data(config)
     members, non_members = build_mi_dataset(
-        train_corpus.sequences, test_corpus.sequences, DESK["mi_n"], seed=_derived_seed(1, "mi")
+        train_corpus.sequences, test_corpus.sequences, DESK["mi_n"], seed=derived_seed(1, "mi")
     )
     untrained = lm.init_params(train_corpus.vocabulary.size, DESK["d"], DESK["d"], seed=2)
     mi_untrained = membership_inference(untrained, members, non_members)
@@ -415,15 +411,15 @@ def test_budget_grows_with_sensitive_set(desk_bundle):
     budgets = {}
     for regime in ("dpsgd", "cadp"):
         manifest = runs[regime]["manifest"]
-        state = AccountantState(
+        budgets[regime] = privacy.selective_dp_budget(
             epochs=DESK["epochs"],
             sensitive_count=manifest["sensitive_count"],
             batch_size=DESK["batch_size"],
             per_step_epsilon=privacy.gaussian_rdp_epsilon(DESK["sigma"], 2.0),
             gamma=1.0,
             alpha=2.0,
+            delta=shared_delta,
         )
-        budgets[regime], _ = privacy.selective_dp_budget(state, shared_delta)
     assert runs["dpsgd"]["manifest"]["sensitive_count"] == runs["dpsgd"]["manifest"]["n_train"]
     assert budgets["dpsgd"] >= budgets["cadp"]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 import threading
 from contextlib import nullcontext
@@ -144,6 +145,7 @@ class TestConfigParsing:
         ("train_fraction", 0), ("train_fraction", 1.0), ("max_seq_len", 1),
         ("mi_n", 0), ("mi_n", -3), ("substitution_rate", -0.1), ("substitution_rate", 1.5),
         ("seed_data", -1), ("seed_init", -1), ("seed_noise", -1),
+        ("secret_pattern", "(combination|pin"),
     ])
     def test_out_of_range_value_rejected_before_the_run_directory(self, tmp_path, data_dir,
                                                                   regime, key, value):
@@ -395,13 +397,32 @@ class TestRegimeDispatch:
         train(ExperimentConfig.from_file(cfg))
         manifest = load_manifest(tmp_path / "run" / "manifest.json")
         audit = manifest["audit"]
-        fields = [f.name for f in dataclasses.fields(privacy.AccountantState)]
-        state = privacy.AccountantState(**{k: audit[k] for k in fields})
-        assert (state.epochs, state.batch_size, state.alpha, state.gamma) == (1, 16, 2.0, 1.0)
-        assert state.sensitive_count == manifest["sensitive_count"] == manifest["n_train"]
-        assert state.per_step_epsilon == privacy.gaussian_rdp_epsilon(1.5, 2.0)
+        claim = {k: audit[k] for k in ("epochs", "sensitive_count", "batch_size",
+                                       "per_step_epsilon", "alpha", "gamma")}
+        assert set(audit) == {*claim, "sigma", "clip_bound", "delta", "eps_total"}
+        assert [claim[k] for k in ("epochs", "batch_size", "alpha", "gamma")] == [1, 16, 2.0, 1.0]
+        assert claim["sensitive_count"] == manifest["sensitive_count"] == manifest["n_train"]
+        assert claim["per_step_epsilon"] == privacy.gaussian_rdp_epsilon(1.5, 2.0)
         assert audit["delta"] == 2e-5
-        assert audit["eps_total"] == privacy.selective_dp_budget(state, audit["delta"])[0]
+        assert audit["eps_total"] == privacy.selective_dp_budget(**claim, delta=audit["delta"])
+
+    def test_cadp_audit_rests_on_the_detector_gamma(self, data_dir, tmp_path):
+        det = tmp_path / "det.bin"
+        dataclasses.replace(constant_detector(True), measured_gamma=0.95).save(det)
+        runs = {}
+        for delta in (0.1, 1e-5):
+            cfg = write_train_config(tmp_path / f"{delta}.cfg", data_dir, tmp_path / f"run{delta}",
+                                     regime="cadp", epochs=1, detector=det, delta=delta)
+            runs[delta] = train(ExperimentConfig.from_file(cfg))
+        held = runs[0.1]["audit"]
+        assert held["gamma"] == 0.95 and held["delta"] == 0.1
+        # T * N_S * eps_step / |B| + ln(1/delta) / (alpha - 1) at T 1, sigma 1, alpha 2, |B| 16.
+        n_s = runs[0.1]["sensitive_count"]
+        assert held["eps_total"] == 1 * n_s * 1.0 / 16 + math.log(1 / 0.1) / 1.0
+        below_floor = runs[1e-5]
+        assert list(below_floor["audit"]) == ["error"]
+        assert "gamma=0.95" in below_floor["audit"]["error"]
+        assert below_floor["status"] == "completed"
 
     def test_sdpsgd_partitions_by_regex(self, data_dir, tmp_path):
         cfg = write_train_config(
@@ -768,6 +789,13 @@ class TestCli:
         missing = tmp_path / "nope.cfg"
         assert cli_main(["train", "--config", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_cli_train_with_bad_secret_pattern_returns_one(self, data_dir, tmp_path, capsys):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", regime="sdpsgd",
+                                 secret_pattern=["(combination|pin"])
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert "secret_pattern" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_cli_train_with_empty_test_split_returns_one(self, tmp_path, capsys):
         corpus = tmp_path / "ten.txt"

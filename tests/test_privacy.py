@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from privlm import lm, privacy
 from privlm.corpus import TokenSequence
 from privlm.privacy import (
-    AccountantState,
     PrivacyError,
     PrivacySpec,
     clip_scales,
@@ -18,7 +17,6 @@ from privlm.privacy import (
     plain_sgd_step,
     rdp_to_dp,
     selective_dp_budget,
-    sequential_composition_budget,
 )
 
 from conftest import lm_batches, traced_peak
@@ -414,52 +412,65 @@ class TestRdpAccounting:
 
 
 class TestSelectiveBudget:
-    def state(self, **kw):
+    def budget(self, delta, **kw):
         base = dict(
             epochs=10, sensitive_count=100, batch_size=50,
             per_step_epsilon=0.5, gamma=1.0, alpha=2.0,
         )
         base.update(kw)
-        return AccountantState(**base)
+        return selective_dp_budget(**base, delta=delta)
 
     def test_direct_evaluation_of_the_bound(self):
         # T*N_S*eps/|B| + ln(1e5) = 10 + 11.512925... for the stated inputs.
-        eps, delta = selective_dp_budget(self.state(), 1e-5)
+        eps = self.budget(1e-5)
+        assert type(eps) is float
         assert eps == pytest.approx(21.51292546497023, abs=1e-9)
-        assert delta == 1e-5
         # and 100 + ln(1e5) when the linear term is 100 (|B| = 5)
-        eps2, _ = selective_dp_budget(self.state(batch_size=5), 1e-5)
+        eps2 = self.budget(1e-5, batch_size=5)
         assert eps2 == pytest.approx(111.51292546497022, abs=1e-9)
 
     def test_gamma_constraint_rejects(self):
-        state = self.state(gamma=0.99)
         with pytest.raises(PrivacyError, match="gamma"):
-            selective_dp_budget(state, 1e-5)
+            self.budget(1e-5, gamma=0.99)
 
     def test_delta_range(self):
         with pytest.raises(PrivacyError):
-            selective_dp_budget(self.state(), 1.0)
+            self.budget(1.0)
         with pytest.raises(PrivacyError):
-            selective_dp_budget(self.state(), 0.0)
+            self.budget(0.0)
 
     def test_no_private_epochs(self):
-        eps, _ = selective_dp_budget(self.state(epochs=0), 1e-5)
+        eps = self.budget(1e-5, epochs=0)
         assert eps == pytest.approx(math.log(1e5), abs=1e-12)
 
     def test_alpha_at_most_one_rejected(self):
         for alpha in (1.0, 0.5):
             with pytest.raises(PrivacyError, match="alpha"):
-                self.state(alpha=alpha)
+                self.budget(1e-5, alpha=alpha)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("epochs", -1, "counts must be >= 0"),
+        ("sensitive_count", -1, "counts must be >= 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("per_step_epsilon", -0.5, "per_step_epsilon must be >= 0"),
+        ("gamma", 1.5, r"gamma must be in \[0, 1\]"),
+        ("gamma", -0.1, r"gamma must be in \[0, 1\]"),
+    ])
+    def test_invalid_input_rejected(self, key, value, match):
+        with pytest.raises(PrivacyError, match=match):
+            self.budget(1e-5, **{key: value})
+
+    @pytest.mark.parametrize("delta, alpha, match", [
+        (1e-5, 1.0, "alpha must be > 1"),
+        (0.0, 2.0, "delta must be in"),
+    ])
+    def test_conversion_errors_precede_the_gamma_floor(self, delta, alpha, match):
+        with pytest.raises(PrivacyError, match=match):
+            self.budget(delta, gamma=0.5, alpha=alpha)
 
     def test_delta_just_above_floor_accepted(self):
-        state = self.state(gamma=0.95)
-        eps, _ = selective_dp_budget(state, 0.0500001)
+        eps = self.budget(0.0500001, gamma=0.95)
         assert math.isfinite(eps)
-
-    def test_sequential_reference(self):
-        assert sequential_composition_budget(0.5, 10, 2.0, 1e-5) == pytest.approx(
-            5.0 + math.log(1e5), abs=1e-12
-        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,11 +483,10 @@ class TestSelectiveBudget:
 )
 def test_budget_monotonicity(epochs, n_s, batch, eps_step, delta):
     def budget(T, N, B, e, d):
-        state = AccountantState(
+        return selective_dp_budget(
             epochs=T, sensitive_count=N, batch_size=B,
-            per_step_epsilon=e, gamma=1.0, alpha=2.0,
+            per_step_epsilon=e, gamma=1.0, alpha=2.0, delta=d,
         )
-        return selective_dp_budget(state, d)[0]
 
     base = budget(epochs, n_s, batch, eps_step, delta)
     assert budget(epochs + 1, n_s, batch, eps_step, delta) >= base
