@@ -56,9 +56,11 @@ print(f"vocabulary grew to {corpus.vocabulary.size}: every candidate fill is now
 print("so a trained model can score the whole space")
 
 candidates = enumerate_canaries(template, corpus.vocabulary)
-print(f"\nenumerated {len(candidates)} candidates; first three:")
-for cand in candidates[:3]:
-    print("   ", cand.source_text)
+print(f"\nenumerated {len(candidates)} candidates as ids: the prefix {candidates.prefix_ids}")
+print(f"plus one fill id each, {candidates.fill_ids[:3].tolist()}, ...; first three:")
+for cand in candidates.sequences()[:3]:
+    print("   ", cand.ids, cand.source_text)
+print(f"the planted fill '452' is candidate {template.fill_index('452')}")
 
 print("\nminibatches reshuffle per epoch, keyed on (seed, epoch):")
 for epoch in (1, 2):

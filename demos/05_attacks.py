@@ -45,7 +45,7 @@ valid_ppl = lm.corpus_perplexity(params, test.sequences)
 print(f"trained 15 epochs; validation perplexity {valid_ppl:.2f}")
 
 candidates = enumerate_canaries(template, corpus.vocabulary)
-planted_index = list(template.fills()).index("42")
+planted_index = template.fill_index("42")
 rank = rank_from_perplexities(candidate_perplexities(params, candidates), planted_index)
 expo = exposure(rank, template.candidate_space_size)
 print(f"\ncanary rank {rank} of {template.candidate_space_size} -> exposure "

@@ -15,6 +15,7 @@ from .attacks import (
     rank_from_perplexities,
 )
 from .corpus import (
+    CanaryCandidates,
     CanaryTemplate,
     Corpus,
     TokenSequence,

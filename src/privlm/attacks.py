@@ -6,12 +6,13 @@ template (lower perplexity = stronger memorization); membership inference
 pools known-member and known-non-member sequences and predicts the
 lowest-perplexity half as members.
 
-The fills of a template share every token but the last, so the candidates
-are scored from one forward pass of the shared prefix plus a gather over the
-fill row, log p(. | prefix): T one-row LSTM steps instead of a batched pass
-over every candidate. Every candidate reads the same prefix terms and the
-same fill row, so a candidate's rank does not depend on its position in the
-candidate list.
+The candidates of a template arrive as ids (``CanaryCandidates``: the
+shared prefix ids plus one fill id each), so they are scored from one
+forward pass of the prefix plus a gather over the fill row,
+log p(. | prefix): T one-row LSTM steps instead of a batched pass over every
+candidate. Every candidate reads the same prefix terms and the same fill
+row, so a candidate's rank does not depend on its position in the candidate
+list.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lm
-from .corpus import TokenSequence
+from .corpus import CanaryCandidates, TokenSequence
 from .lm import LMParameters
 
 
@@ -58,25 +59,22 @@ class AttackReport:
         )
 
 
-def candidate_perplexities(params: LMParameters, candidates: list[TokenSequence]) -> np.ndarray:
-    """Model perplexity of every candidate canary.
+def candidate_perplexities(params: LMParameters, candidates: CanaryCandidates) -> np.ndarray:
+    """Model perplexity of every candidate canary, in the candidates' fill order.
 
-    The candidates must share every token but the last (the fill), as the
-    fills of one ``CanaryTemplate`` do. One forward pass over that prefix
-    gives both the prefix's NLL terms, common to every candidate, and in its
-    last row log p(. | prefix), from which each fill's term is gathered.
+    One forward pass over the shared prefix and one fill gives both the
+    prefix's NLL terms, common to every candidate, and in its last row
+    log p(. | prefix), from which each fill's term is gathered.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise AttackError("empty candidate list")
-    prefix = candidates[0].ids[:-1]
-    if any(c.ids[:-1] != prefix for c in candidates):
-        raise AttackError("candidates must share every token but the last (the fill)")
-    fills = np.array([c.ids[-1] for c in candidates])
+    fills = candidates.fill_ids
     if not np.all((0 <= fills) & (fills < params.vocab_size)):
         raise AttackError(f"fill token id out of range for vocabulary of size {params.vocab_size}")
-    logp = lm.forward(params, candidates[0])  # (T, V); row t predicts token t+1
-    T = len(logp)
-    terms = np.tile(-logp[np.arange(T), candidates[0].ids[1:]], (len(candidates), 1))
+    ids = candidates.prefix_ids + (int(fills[0]),)
+    logp = lm.forward(params, TokenSequence(ids, candidates.template.prefix))  # (T, V)
+    T = len(logp)  # row t predicts token t+1
+    terms = np.tile(-logp[np.arange(T), ids[1:]], (len(candidates), 1))
     terms[:, -1] = -logp[-1, fills]
     return np.exp(terms.sum(axis=1) / T)
 
@@ -162,7 +160,7 @@ def build_mi_dataset(
 
 def dump_perplexity_table(
     path: str | Path,
-    candidates: list[TokenSequence],
+    candidates: CanaryCandidates,
     perplexities: np.ndarray,
     planted_index: int,
 ) -> None:
@@ -172,5 +170,5 @@ def dump_perplexity_table(
         writer.writerow(["index", "candidate", "perplexity", "planted"])
         writer.writerows(
             (i, cand.source_text, repr(float(ppl)), int(i == planted_index))
-            for i, (cand, ppl) in enumerate(zip(candidates, perplexities))
+            for i, (cand, ppl) in enumerate(zip(candidates.sequences(), perplexities))
         )

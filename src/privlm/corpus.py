@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,11 +51,10 @@ class Vocabulary:
     canary planting) are appended, so existing ids never change.
     """
 
-    def __init__(self, tokens: list[str] | None = None):
+    def __init__(self, tokens: Iterable[str] = ()):
         self._token_to_id: dict[str, int] = {UNK_TOKEN: 0}
         self._id_to_token: list[str] = [UNK_TOKEN]
-        for tok in tokens or []:
-            self.add(tok)
+        self.extend(tokens)
 
     @property
     def unk_id(self) -> int:
@@ -78,14 +77,26 @@ class Vocabulary:
 
     def add(self, token: str) -> int:
         """Add a token if absent; return its id."""
-        if token.split() != [token]:  # empty or containing whitespace
-            raise CorpusError(f"invalid vocabulary token: {token!r}")
-        tid = self._token_to_id.get(token)
-        if tid is None:
-            tid = len(self._id_to_token)
-            self._token_to_id[token] = tid
-            self._id_to_token.append(token)
-        return tid
+        self.extend([token])
+        return self._token_to_id[token]
+
+    def extend(self, tokens: Iterable[str]) -> None:
+        """Append the tokens not yet present, in order, with the ids repeated ``add`` calls give.
+
+        A token must be non-empty and free of whitespace. On the first token
+        that is not, ``CorpusError`` is raised with the tokens before it added.
+        """
+        tokens = list(tokens)
+        # Joining and splitting returns the tokens exactly when each is one non-empty word.
+        if " ".join(tokens).split() != tokens:
+            k = next(k for k, tok in enumerate(tokens) if tok.split() != [tok])
+            self.extend(tokens[:k])
+            raise CorpusError(f"invalid vocabulary token: {tokens[k]!r}")
+        ids = self._token_to_id
+        start = len(ids)
+        for tok in tokens:
+            ids.setdefault(tok, len(ids))
+        self._id_to_token.extend(itertools.islice(ids, start, None))  # the keys just inserted
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, self.unk_id)
@@ -105,12 +116,19 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a file written by ``save``; a repeated token would shift every later id."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or lines[0] != UNK_TOKEN:
             raise CorpusError(f"vocabulary file {path} must start with {UNK_TOKEN}")
-        vocab = cls()
-        for tok in lines[1:]:
-            vocab.add(tok)
+        vocab = cls(lines[1:])
+        if vocab.size != len(lines):
+            first: dict[str, int] = {}  # token -> the line it first appears on
+            line, tok = next(
+                (n, tok) for n, tok in enumerate(lines, 1) if first.setdefault(tok, n) != n
+            )
+            raise CorpusError(
+                f"vocabulary file {path}, line {line}: token {tok!r} repeats line {first[tok]}"
+            )
         return vocab
 
 
@@ -219,16 +237,26 @@ class CanaryTemplate:
 
     def fills(self) -> Iterator[str]:
         """All candidate fills in deterministic lexicographic order."""
-        for combo in itertools.product(self.slot_alphabet, repeat=self.slot_count):
-            yield "".join(combo)
+        return map("".join, itertools.product(self.slot_alphabet, repeat=self.slot_count))
 
-    def sentence(self, fill: str) -> str:
+    def _check_fill(self, fill: str) -> None:
         if len(fill) != self.slot_count or any(c not in self.slot_alphabet for c in fill):
             raise CorpusError(
                 f"fill {fill!r} is not in the slot space "
                 f"(alphabet {self.slot_alphabet!r}, {self.slot_count} chars)"
             )
+
+    def sentence(self, fill: str) -> str:
+        self._check_fill(fill)
         return (self.prefix + fill).strip()
+
+    def fill_index(self, fill: str) -> int:
+        """The fill's position in ``fills()``: its characters as digits in base |alphabet|."""
+        self._check_fill(fill)
+        index = 0
+        for ch in fill:
+            index = index * len(self.slot_alphabet) + self.slot_alphabet.index(ch)
+        return index
 
 
 def load_corpus(
@@ -324,10 +352,7 @@ def extend_vocabulary_for_template(vocabulary: Vocabulary, template: CanaryTempl
     fills collapse onto the unknown token and ranks degenerate.
     ``plant_canary`` is the package's one caller.
     """
-    for tok in tokenize(template.prefix):
-        vocabulary.add(tok)
-    for fill in template.fills():
-        vocabulary.add(fill)
+    vocabulary.extend(itertools.chain(tokenize(template.prefix), template.fills()))
 
 
 def canary_sentence(template: CanaryTemplate, fill: str, max_len: int) -> str:
@@ -384,25 +409,47 @@ def plant_canary(
     return Corpus(sequences=seqs, vocabulary=corpus.vocabulary, labels=labels), sorted(positions)
 
 
-def enumerate_canaries(template: CanaryTemplate, vocabulary: Vocabulary) -> list[TokenSequence]:
-    """All instantiated canaries, in lexicographic fill order.
+@dataclass(frozen=True, eq=False)
+class CanaryCandidates:
+    """Every candidate canary of a template as ids: the shared prefix ids plus one fill id each.
+
+    Candidate k is ``prefix_ids + (fill_ids[k],)``, the encoding of
+    ``template.sentence(fill)`` for the k-th fill of ``template.fills()``.
+    """
+
+    template: CanaryTemplate
+    prefix_ids: tuple[int, ...]
+    fill_ids: np.ndarray  # (N,) int64, in fills() order
+
+    def __len__(self) -> int:
+        return len(self.fill_ids)
+
+    def sequences(self) -> list[TokenSequence]:
+        """Each candidate as the ``TokenSequence`` its sentence encodes to."""
+        return [
+            TokenSequence(self.prefix_ids + (fid,), self.template.sentence(fill))
+            for fid, fill in zip(self.fill_ids.tolist(), self.template.fills())
+        ]
+
+
+def enumerate_canaries(template: CanaryTemplate, vocabulary: Vocabulary) -> CanaryCandidates:
+    """All candidate canaries of ``template``, in lexicographic fill order.
 
     Candidates are encoded under ``vocabulary``, which is only read: a prefix
     token or fill that ``plant_canary`` has not added raises ``CorpusError``.
-    The prefix is encoded once: ``CanaryTemplate`` guarantees that a fill is
-    its own token, so each candidate is the prefix ids plus the fill's id, as
-    ``TokenSequence.from_text`` would encode it.
+    ``CanaryTemplate`` guarantees that a fill is its own token, so each
+    candidate is the prefix ids plus the fill's id, as
+    ``TokenSequence.from_text`` would encode its sentence.
     """
-    prefix = tokenize(template.prefix)
-    tokens = itertools.chain(prefix, template.fills())
-    missing = next((tok for tok in tokens if tok not in vocabulary), None)
+    prefix, fills = tokenize(template.prefix), list(template.fills())
+    missing = next((tok for tok in itertools.chain(prefix, fills) if tok not in vocabulary), None)
     if missing is not None:
         raise CorpusError(f"canary token {missing!r} is not in the vocabulary; plant_canary adds it")
-    prefix_ids = tuple(vocabulary.encode_tokens(prefix))
-    return [
-        TokenSequence(ids=prefix_ids + (vocabulary.id_of(fill),), source_text=template.sentence(fill))
-        for fill in template.fills()
-    ]
+    return CanaryCandidates(
+        template,
+        tuple(vocabulary.encode_tokens(prefix)),
+        np.array(vocabulary.encode_tokens(fills), dtype=np.int64),
+    )
 
 
 def minibatches(

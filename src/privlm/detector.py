@@ -393,11 +393,19 @@ def train_detector(
     w = np.zeros(char_dim + word_dim)
     b = 0.0
     n = len(train_idx)
+    penalty = np.empty_like(w)
+    # w -= eta * (X^T err / n + L2 * w), in the matvecs' own outputs, same operation order.
     for _ in range(epochs):
-        p = lm._sigmoid(np.asarray(Xtr @ w) + b)
-        err = p - ytr
-        w -= eta * (np.asarray(XtrT @ err) / n + L2_PENALTY * w)
-        b -= eta * float(err.mean())
+        z = np.asarray(Xtr @ w)
+        z += b
+        err = lm._sigmoid(z)
+        err -= ytr
+        grad = np.asarray(XtrT @ err)
+        grad /= n
+        grad += np.multiply(w, L2_PENALTY, out=penalty)
+        grad *= eta
+        w -= grad
+        b -= eta * float(err.sum() / n)
 
     val_scores = lm._sigmoid(np.asarray(X[val_idx] @ w) + b)
     val_y = y[val_idx]

@@ -364,7 +364,7 @@ def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], i
             seed=derived_seed(config["seed_data"], "plant"),
             max_len=config["max_seq_len"],
         )
-        planted_idx = list(template.fills()).index(config["canary_fill"])
+        planted_idx = template.fill_index(config["canary_fill"])
     return train, test, positions, planted_idx
 
 

@@ -6,10 +6,14 @@ backpropagation through time over the whole sequence, so each training
 example yields one exact gradient (the unit the privacy machinery clips).
 
 The LSTM cell and log-softmax are written once, in the step generator
-``_steps``. Every query runs through it: ``backprop`` keeps each step's
-activations for the backward pass, while the scoring functions
-(``sequence_nlls``, ``forward``, ``conditional_probabilities``) read each
-step as it arrives and keep no activations.
+``_steps``, which yields each step's logits shifted by their row maximum and
+their (B, 1) log-normaliser ``lse``. Every query runs through it:
+``backprop`` keeps each step's activations for the backward pass and
+subtracts ``lse`` from the whole table there, as ``forward`` does for the
+table it returns, while ``sequence_nlls`` and ``conditional_probabilities``
+read each step as it arrives, keep no activations, and subtract ``lse`` only
+from the entries they gather. Either way an entry's bits are those of
+``logits - lse``.
 
 Training steps give ``backprop`` a ``Workspace``: float64 buffers, sized for
 the largest batch when it is built, for the (T, B, .) factors z, h, delta,
@@ -48,12 +52,15 @@ stack are flat vectors in this order, filled through the same views.
     out_b    (vocab,)               output bias
 
 Checkpoint format: magic ``CADPLM1``, three little-endian uint32
-(vocab, d_emb, d_hid), then ``theta`` as little-endian float64.
+(vocab, d_emb, d_hid), then ``theta`` as little-endian float64. ``save``
+writes theta's own bytes and ``load`` reads the body straight into the new
+theta, so neither holds a second copy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,20 +142,23 @@ class LMParameters:
 
     @classmethod
     def load(cls, path: str | Path, expect_vocab: int | None = None) -> "LMParameters":
-        raw = Path(path).read_bytes()
-        if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-            raise LMError(f"{path}: not a model checkpoint (bad magic)")
-        off = len(CHECKPOINT_MAGIC)
-        if len(raw) < off + _DIMS.size:
-            raise LMError(f"{path}: checkpoint header is truncated")
-        vocab, d_emb, d_hid = _DIMS.unpack_from(raw, off)
-        off += _DIMS.size
-        if expect_vocab is not None and vocab != expect_vocab:
-            raise LMError(f"{path}: checkpoint vocabulary size {vocab} != expected {expect_vocab}")
-        if len(raw) - off != 8 * _num_params(vocab, d_emb, d_hid):
-            raise LMError(f"{path}: checkpoint body has wrong size")
-        theta = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
-        return cls(theta, vocab, d_emb, d_hid)
+        # The body is read straight into theta, after its size is checked against the file's.
+        with Path(path).open("rb") as fh:
+            head = fh.read(len(CHECKPOINT_MAGIC) + _DIMS.size)
+            if head[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+                raise LMError(f"{path}: not a model checkpoint (bad magic)")
+            if len(head) < len(CHECKPOINT_MAGIC) + _DIMS.size:
+                raise LMError(f"{path}: checkpoint header is truncated")
+            vocab, d_emb, d_hid = _DIMS.unpack_from(head, len(CHECKPOINT_MAGIC))
+            if expect_vocab is not None and vocab != expect_vocab:
+                raise LMError(f"{path}: checkpoint vocabulary size {vocab} != expected {expect_vocab}")
+            n = _num_params(vocab, d_emb, d_hid)
+            if os.fstat(fh.fileno()).st_size - len(head) != 8 * n:
+                raise LMError(f"{path}: checkpoint body has wrong size")
+            theta = np.empty(n, dtype="<f8")
+            if fh.readinto(theta) != theta.nbytes:
+                raise LMError(f"{path}: checkpoint body has wrong size")
+        return cls(theta.astype(np.float64, copy=False), vocab, d_emb, d_hid)
 
 
 def init_params(vocab_size: int, d_emb: int, d_hid: int, seed: int) -> LMParameters:
@@ -202,17 +212,20 @@ def _pack_batch(
 
 def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None,
            exp_scratch: np.ndarray | None = None):
-    """The LSTM cell and log-softmax, one time step at a time.
+    """The LSTM cell and the log-softmax's terms, one time step at a time.
 
-    Yields ``(z, s, g, c_prev, ct, h, logp)`` for each column of the packed
-    inputs ``X`` (B, T): the cell input [x_t ; h_{t-1}], the sigmoid of the
-    whole (B, 4H) gate pre-activation (its blocks 0, 1 and 3 are the input,
-    forget and output gates i, f, o), the cell gate g, the cell state before
-    and tanh after the update, the hidden state and the (B, V) next-token
-    log-probabilities. Nothing is retained between steps unless the caller
-    keeps it. Given ``keep = (zs, hs, logits)``, three (T, B, .) buffers,
-    step t's z, h and log-probabilities are computed in their row t; the
-    log-softmax ``exp`` goes to ``exp_scratch`` (B, V), or a fresh buffer.
+    Yields ``(z, s, g, c_prev, ct, h, logits, lse)`` for each column of the
+    packed inputs ``X`` (B, T): the cell input [x_t ; h_{t-1}], the sigmoid
+    of the whole (B, 4H) gate pre-activation (its blocks 0, 1 and 3 are the
+    input, forget and output gates i, f, o), the cell gate g, the cell state
+    before and tanh after the update, the hidden state, the (B, V) logits
+    shifted by their row maximum and the (B, 1) log-normaliser ``lse``: the
+    next-token log-probabilities are ``logits - lse``. A caller subtracts
+    ``lse`` from the whole table or only from the entries it reads. Nothing
+    is retained between steps unless the caller keeps it. Given ``keep =
+    (zs, hs, logits)``, three (T, B, .) buffers, step t's z, h and shifted
+    logits are computed in their row t; the log-softmax ``exp`` goes to
+    ``exp_scratch`` (B, V), or a fresh buffer.
     """
     B, T = X.shape
     H = params.d_hid
@@ -222,7 +235,7 @@ def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None,
     if exp_scratch is None:
         exp_scratch = np.empty((B, params.vocab_size))
     for t in range(T):
-        z_out, h_out, logp_out = (None,) * 3 if keep is None else (buf[t] for buf in keep)
+        z_out, h_out, logits_out = (None,) * 3 if keep is None else (buf[t] for buf in keep)
         z = np.concatenate([params.emb[X[:, t]], h], axis=1, out=z_out)
         a = z @ Wt
         a += params.lstm_b
@@ -234,20 +247,24 @@ def _steps(params: LMParameters, X: np.ndarray, keep: tuple | None = None,
         c += i * g
         ct = np.tanh(c)
         h = np.multiply(o, ct, out=h_out)
-        logp = np.matmul(h, params.out_W, out=logp_out)
-        logp += params.out_b
-        logp -= logp.max(axis=1, keepdims=True)
-        logp -= np.log(np.exp(logp, out=exp_scratch).sum(axis=1, keepdims=True))
-        yield z, s, g, c_prev, ct, h, logp
+        logits = np.matmul(h, params.out_W, out=logits_out)
+        logits += params.out_b
+        logits -= logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(logits, out=exp_scratch).sum(axis=1, keepdims=True))
+        yield z, s, g, c_prev, ct, h, logits, lse
 
 
-def _nlls(logps, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Per-sequence total NLL (B,) from the per-step log-probability tables."""
+def _nlls(steps, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Per-sequence total NLL (B,) from each step's ``(logits, lse)``.
+
+    Only the target entries are normalised: -(logits[b, y] - lse[b]) is
+    the bit pattern that normalising the whole table and reading it gives.
+    """
     B, T = Y.shape
     rows = np.arange(B)
     terms = np.zeros((B, T))
-    for t, logp in enumerate(logps):
-        terms[:, t] = -logp[rows, Y[:, t]] * M[:, t]
+    for t, (logits, lse) in enumerate(steps):
+        terms[:, t] = -(logits[rows, Y[:, t]] - lse[:, 0]) * M[:, t]
     return terms.sum(axis=1)
 
 
@@ -258,7 +275,7 @@ def forward(params: LMParameters, seq: TokenSequence) -> np.ndarray:
     tokens 0..t. Each row's exponentials sum to 1.
     """
     X, _, _ = _pack_batch(params, [seq])
-    return np.stack([step[-1][0] for step in _steps(params, X)])
+    return np.stack([logits[0] - lse[0] for *_, logits, lse in _steps(params, X)])
 
 
 def sequence_nlls(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray:
@@ -266,7 +283,7 @@ def sequence_nlls(params: LMParameters, seqs: list[TokenSequence]) -> np.ndarray
     out = np.empty(len(seqs))
     for start in range(0, len(seqs), _NLL_CHUNK):
         X, Y, M = _pack_batch(params, seqs[start : start + _NLL_CHUNK])
-        out[start : start + len(X)] = _nlls((step[-1] for step in _steps(params, X)), Y, M)
+        out[start : start + len(X)] = _nlls((step[-2:] for step in _steps(params, X)), Y, M)
     return out
 
 
@@ -285,9 +302,9 @@ def conditional_probabilities(
     if unique:
         X, _, _ = _pack_batch(params, [TokenSequence(k + (target_id,), "") for k in unique])
         last = np.array([len(k) - 1 for k in unique])  # each row's final input position
-        for t, step in enumerate(_steps(params, X)):
+        for t, (*_, logits, lse) in enumerate(_steps(params, X)):
             done = last == t
-            probs[done] = np.exp(step[-1][done, target_id])
+            probs[done] = np.exp(logits[done, target_id] - lse[done, 0])
     row = {k: r for r, k in enumerate(unique)}
     return np.array([probs[row[k]] if k else 1.0 / params.vocab_size for k in keys])
 
@@ -409,13 +426,16 @@ def backprop(params: LMParameters, seqs: list[TokenSequence],
         ws.buffers[name][: math.prod(shape)].reshape(shape) for name, shape in shapes.items()
     )
 
-    # Each step's log-probability table is computed in delta[t], where the
-    # backward sweep overwrites it with that step's output error once the NLLs
-    # are read, so the batch holds one T*B*V array. The recurrence forces a
-    # sequential sweep over time; the other per-step errors are collected into
-    # (T, B, .) arrays and contracted afterwards.
-    cache = [step[1:5] for step in _steps(params, X, (zs, hs, delta), exp_scratch)]
-    nlls = _nlls(delta, Y, M)
+    # Each step's shifted logits are computed in delta[t], where the backward
+    # sweep normalises them and overwrites them with that step's output error
+    # once the NLLs are read, so the batch holds one T*B*V array. The
+    # recurrence forces a sequential sweep over time; the other per-step
+    # errors are collected into (T, B, .) arrays and contracted afterwards.
+    cache, lses = [], []
+    for _, s, g, c_prev, ct, _, _, lse in _steps(params, X, (zs, hs, delta), exp_scratch):
+        cache.append((s, g, c_prev, ct))
+        lses.append(lse)
+    nlls = _nlls(zip(delta, lses), Y, M)
     padded = (M == 0.0).any(axis=0)  # steps where some row is past its end
 
     dh_next = np.zeros((B, H))
@@ -424,7 +444,9 @@ def backprop(params: LMParameters, seqs: list[TokenSequence],
         s, g, c_prev, ct = cache[t]
         i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
 
-        dlogits = np.exp(delta[t], out=delta[t])
+        dlogits = delta[t]
+        dlogits -= lses[t]
+        np.exp(dlogits, out=dlogits)
         dlogits[rows, Y[:, t]] -= 1.0
         if padded[t]:
             dlogits *= M[:, t][:, None]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from privlm.attacks import (
     rank_from_perplexities,
 )
 from privlm.corpus import (
+    CanaryCandidates,
     CanaryTemplate,
     TokenSequence,
     Vocabulary,
@@ -83,8 +85,9 @@ class TestRank:
 
     def test_empty_candidates_rejected(self):
         params = lm.init_params(4, 3, 3, seed=0)
+        empty = CanaryCandidates(CanaryTemplate("code ", "12", 1), (1,), np.array([], dtype=np.int64))
         with pytest.raises(AttackError, match="empty"):
-            candidate_perplexities(params, [])
+            candidate_perplexities(params, empty)
 
     def test_end_to_end_with_real_model(self):
         vocab = Vocabulary()
@@ -94,7 +97,7 @@ class TestRank:
         params = lm.init_params(vocab.size, 6, 6, seed=2)
         planted = 3
         for _ in range(150):
-            grad = lm.batch_gradients(params, [candidates[planted]])[1][0]
+            grad = lm.batch_gradients(params, [candidates.sequences()[planted]])[1][0]
             params = lm.apply_update(params, grad, 0.5)
         assert rank_from_perplexities(candidate_perplexities(params, candidates), planted) == 1
 
@@ -124,7 +127,7 @@ class TestCandidatePerplexities:
     def test_matches_batched_scoring(self, space):
         params, candidates = space
         got = candidate_perplexities(params, candidates)
-        oracle = lm.sequence_perplexities(params, candidates)
+        oracle = lm.sequence_perplexities(params, candidates.sequences())
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
 
     @settings(max_examples=40, deadline=None)
@@ -132,7 +135,7 @@ class TestCandidatePerplexities:
     def test_ranks_agree_where_perplexities_are_resolved(self, space):
         params, candidates = space
         got = candidate_perplexities(params, candidates)
-        oracle = lm.sequence_perplexities(params, candidates)
+        oracle = lm.sequence_perplexities(params, candidates.sequences())
         order = np.sort(oracle)
         gaps = np.diff(order) / order[1:]
         # A candidate's rank is pinned when both its sorted neighbours are > 1e-12 away.
@@ -150,25 +153,10 @@ class TestCandidatePerplexities:
         perm = list(range(len(candidates)))
         rnd.shuffle(perm)
         base = candidate_perplexities(params, candidates)
-        permuted = candidate_perplexities(params, [candidates[i] for i in perm])
+        permuted = candidate_perplexities(
+            params, dataclasses.replace(candidates, fill_ids=candidates.fill_ids[perm])
+        )
         assert np.array_equal(permuted, base[perm])
-
-    @settings(max_examples=40, deadline=None)
-    @given(canary_spaces(), st.data())
-    def test_candidates_without_a_shared_prefix_rejected(self, space, data):
-        params, candidates = space
-        k = data.draw(st.integers(0, len(candidates) - 1))
-        ids = candidates[k].ids
-        t = data.draw(st.integers(0, len(ids) - 2))
-        changed = ids[:t] + ((ids[t] + 1) % params.vocab_size,) + ids[t + 1 :]
-        longer = ids[:-1] + ids[-2:]  # one more prefix token
-        for odd in (changed, longer):
-            bad = list(candidates)
-            bad[k] = TokenSequence(odd, "odd")
-            if len(bad) == 1:
-                bad.append(candidates[0])
-            with pytest.raises(AttackError, match="share"):
-                candidate_perplexities(params, bad)
 
     def test_fill_id_out_of_range_rejected(self):
         vocab = Vocabulary()
@@ -176,9 +164,10 @@ class TestCandidatePerplexities:
         extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
         params = lm.init_params(vocab.size, 3, 3, seed=0)
-        bad = candidates + [TokenSequence(candidates[0].ids[:-1] + (vocab.size,), "x")]
-        with pytest.raises(AttackError, match="out of range"):
-            candidate_perplexities(params, bad)
+        for fill_id in (vocab.size, -1):
+            bad = dataclasses.replace(candidates, fill_ids=np.append(candidates.fill_ids, fill_id))
+            with pytest.raises(AttackError, match="out of range"):
+                candidate_perplexities(params, bad)
 
 
 class TestExposure:
@@ -336,6 +325,6 @@ class TestDumpTable:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "candidate", "perplexity", "planted"]
         assert [len(row) for row in rows] == [4] * 4
-        assert [row[1] for row in rows[1:]] == [c.source_text for c in candidates]
+        assert [row[1] for row in rows[1:]] == [c.source_text for c in candidates.sequences()]
         assert [float(row[2]) for row in rows[1:]] == ppls.tolist()
         assert [row[3] for row in rows[1:]] == ["0", "0", "1"]

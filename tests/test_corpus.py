@@ -145,6 +145,41 @@ class TestVocabulary:
         else:
             assert vocab.token_of(vocab.add(token)) == token
 
+    def test_load_rejects_a_repeated_line(self, tmp_path):
+        # A repeat would shift every later token off the id its line number gives.
+        path = tmp_path / "vocab.txt"
+        for text, message in (("<unk>\na\nb\na\nc\n", "line 4: token 'a' repeats line 2"),
+                              ("<unk>\na\n<unk>\nb\n", "line 3: token '<unk>' repeats line 1")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(CorpusError, match=message):
+                Vocabulary.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        known=st.lists(st.sampled_from(["a", "b", "<unk>", "x1"]), max_size=4),
+        tokens=st.lists(st.one_of(st.sampled_from(["a", "b", "c", "<unk>", "d", "é"]),
+                                  st.sampled_from(["", "a b", "\t", "\u3000", "x\x1c"]),
+                                  st.text(max_size=3)), max_size=8),
+    )
+    def test_extend_equals_repeated_add(self, known, tokens):
+        one_pass, one_at_a_time = Vocabulary(known), Vocabulary(known)
+        bad = next((k for k, tok in enumerate(tokens) if tok.split() != [tok]), None)
+        if bad is None:
+            one_pass.extend(tokens)
+            for tok in tokens:
+                one_at_a_time.add(tok)
+        else:
+            with pytest.raises(CorpusError) as extend_error:
+                one_pass.extend(tokens)
+            with pytest.raises(CorpusError) as add_error:
+                for tok in tokens:
+                    one_at_a_time.add(tok)
+            assert str(extend_error.value) == str(add_error.value)
+            assert repr(tokens[bad]) in str(extend_error.value)
+        expected = list(dict.fromkeys(["<unk>", *known, *tokens[:bad]]))
+        assert one_pass.tokens == one_at_a_time.tokens == tuple(expected)
+        assert [one_pass.id_of(tok) for tok in expected] == list(range(len(expected)))
+
 
 class TestSplit:
     def test_80_20_sizes(self):
@@ -203,6 +238,24 @@ class TestCanaryTemplate:
         fills = list(template.fills())
         assert fills == ["aa", "ab", "ba", "bb"]
         assert len(set(fills)) == len(fills)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alphabet=st.lists(st.sampled_from("0123456789abcdefzé-"), min_size=1, max_size=8,
+                          unique=True),
+        slot_count=st.integers(1, 3),
+        outside=st.text("0123456789abcdefzé-XY", max_size=4),
+    )
+    def test_fill_index_is_the_position_in_fills(self, alphabet, slot_count, outside):
+        template = CanaryTemplate("p ", "".join(alphabet), slot_count)
+        for position, fill in enumerate(template.fills()):
+            assert template.fill_index(fill) == position
+        if len(outside) != slot_count or any(c not in template.slot_alphabet for c in outside):
+            with pytest.raises(CorpusError) as sentence_error:
+                template.sentence(outside)
+            with pytest.raises(CorpusError) as index_error:
+                template.fill_index(outside)
+            assert str(index_error.value) == str(sentence_error.value)
 
     def test_rejects_alphabet_that_lowercasing_changes(self):
         # Canaries are encoded lowercased, so "A" and "a" would be one fill.
@@ -321,7 +374,7 @@ class TestEnumerateCanaries:
         template = CanaryTemplate("x ", "abc", 2)
         extend_vocabulary_for_template(vocab, template)
         candidates = enumerate_canaries(template, vocab)
-        texts = [c.source_text for c in candidates]
+        texts = [c.source_text for c in candidates.sequences()]
         assert len(set(texts)) == len(texts) == 9
 
     def test_cap_enforced(self):
@@ -360,7 +413,10 @@ class TestEnumerateCanaries:
         tokens = vocab.tokens
         candidates = enumerate_canaries(template, vocab)
         expected = [TokenSequence.from_text(template.sentence(f), vocab) for f in template.fills()]
-        assert candidates == expected
+        assert candidates.sequences() == expected
+        assert [candidates.prefix_ids + (f,) for f in candidates.fill_ids.tolist()] == [
+            s.ids for s in expected
+        ]
         assert vocab.tokens == tokens
 
 

@@ -154,6 +154,28 @@ class TestNllPerplexity:
         )
 
 
+class TestGatheredScoring:
+    """Scoring normalises only the entries it reads, with the bits of the full table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lm_batches())
+    def test_nll_equals_forward_table_bitwise(self, batch):
+        params, seqs = batch
+        for seq in seqs:
+            T = len(seq) - 1
+            expected = -lm.forward(params, seq)[np.arange(T), seq.ids[1:]].sum()
+            assert lm.sequence_nlls(params, [seq])[0] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(lm_batches())
+    def test_conditional_probability_equals_forward_table_bitwise(self, batch):
+        params, seqs = batch
+        for seq in seqs:
+            context, target = list(seq.ids[:-1]), seq.ids[-1]
+            expected = np.exp(lm.forward(params, seq)[-1, target])
+            assert lm.conditional_probabilities(params, [context], target)[0] == expected
+
+
 class TestScoringMemory:
     @staticmethod
     def peak_bytes(params, seqs):
@@ -402,6 +424,27 @@ class TestCheckpoint:
         params = lm.init_params(2000, 64, 64, seed=0)
         peak = traced_peak(lambda: params.save(tmp_path / "model.ckpt"))
         assert peak < 0.1 * params.num_params * 8
+
+    def test_load_copies_no_parameter_vector(self, tmp_path):
+        # The body is read into theta itself: the file's bytes plus a converted
+        # copy would read 2 P-vectors.
+        params = lm.init_params(2000, 64, 64, seed=0)
+        path = tmp_path / "model.ckpt"
+        params.save(path)
+        peak = traced_peak(lambda: LMParameters.load(path))
+        assert peak < 1.1 * params.num_params * 8
+        assert np.array_equal(LMParameters.load(path).theta, params.theta)
+
+    def test_rejects_oversized_header_before_allocating(self, tmp_path):
+        # The dimensions claim ~2**52 parameters; the size check runs before theta exists.
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"CADPLM1" + struct.pack("<III", 2**31, 2**20, 1) + b"\x00" * 64)
+
+        def load():
+            with pytest.raises(LMError, match="size"):
+                LMParameters.load(path)
+
+        assert traced_peak(load) < 1 << 20
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
