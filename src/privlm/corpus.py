@@ -120,7 +120,13 @@ class Vocabulary:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or lines[0] != UNK_TOKEN:
             raise CorpusError(f"vocabulary file {path} must start with {UNK_TOKEN}")
-        vocab = cls(lines[1:])
+        try:
+            vocab = cls(lines[1:])
+        except CorpusError:
+            line, tok = next((n, tok) for n, tok in enumerate(lines, 1) if tok.split() != [tok])
+            raise CorpusError(
+                f"vocabulary file {path}, line {line}: invalid vocabulary token {tok!r}"
+            ) from None
         if vocab.size != len(lines):
             first: dict[str, int] = {}  # token -> the line it first appears on
             line, tok = next(

@@ -47,6 +47,10 @@ from .lm import LMParameters
 DETECTOR_MAGIC = "DETECTOR1"
 CHAR_NGRAM_RANGE = (3, 5)
 L2_PENALTY = 1e-4  # ridge weight of the detector's logistic loss
+GRAD_TOL = 1e-6  # the solve stops once every gradient entry is at most this in magnitude
+LBFGS_MEMORY = 10  # curvature pairs the L-BFGS direction is built from
+ARMIJO_C = 1e-4  # sufficient-decrease fraction of the backtracking line search
+MAX_HALVINGS = 60  # backtracking steps before the line search gives up
 
 
 class DetectorError(ValueError):
@@ -356,7 +360,13 @@ def train_detector(
     fpr_cap: float = 0.05,
     val_fraction: float = 0.25,
 ) -> DetectorModel:
-    """Logistic regression by full-batch gradient descent, seeded and exact.
+    """L2-penalised logistic regression solved by L-BFGS, seeded and exact.
+
+    The objective is the mean logistic loss over the training fold plus
+    ``L2_PENALTY/2 * ||w||^2`` (the bias is not penalised). ``epochs`` caps the
+    solver's iterations and ``eta`` is its first step along the negative
+    gradient, so ``epochs=1`` is one gradient-descent step of size ``eta``;
+    the solve stops earlier once every gradient entry is within ``GRAD_TOL``.
 
     A stratified validation fold is held out; the decision threshold is the
     one maximizing validation true-positive rate subject to a false-positive
@@ -369,43 +379,12 @@ def train_detector(
         raise DetectorError(f"epochs must be >= 1, got {epochs}")
     if not eta > 0:
         raise DetectorError(f"eta must be > 0, got {eta}")
-    if not (0.0 < val_fraction < 1.0):
-        raise DetectorError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    if seed < 0:
-        raise DetectorError(f"seed must be >= 0, got {seed}")
     y = dataset.labels
-    if not y.any() or y.all():
-        raise DetectorError("detector training needs both classes present")
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    pos_idx = rng.permutation(np.flatnonzero(y))
-    neg_idx = rng.permutation(np.flatnonzero(~y))
-    n_pos_val = max(1, int(round(val_fraction * len(pos_idx))))
-    n_neg_val = max(1, int(round(val_fraction * len(neg_idx))))
-    if n_pos_val >= len(pos_idx) or n_neg_val >= len(neg_idx):
-        raise DetectorError("dataset too small to hold out a validation fold")
-    val_idx = np.concatenate([pos_idx[:n_pos_val], neg_idx[:n_neg_val]])
-    train_idx = np.concatenate([pos_idx[n_pos_val:], neg_idx[n_neg_val:]])
+    train_idx, val_idx = _fold_indices(y, val_fraction, seed)
 
     X = featurize(dataset.texts, char_dim, word_dim)
-    Xtr, ytr = X[train_idx], y[train_idx].astype(np.float64)
-    XtrT = Xtr.T  # built once; each epoch's product with it is unchanged
-    w = np.zeros(char_dim + word_dim)
-    b = 0.0
-    n = len(train_idx)
-    penalty = np.empty_like(w)
-    # w -= eta * (X^T err / n + L2 * w), in the matvecs' own outputs, same operation order.
-    for _ in range(epochs):
-        z = np.asarray(Xtr @ w)
-        z += b
-        err = lm._sigmoid(z)
-        err -= ytr
-        grad = np.asarray(XtrT @ err)
-        grad /= n
-        grad += np.multiply(w, L2_PENALTY, out=penalty)
-        grad *= eta
-        w -= grad
-        b -= eta * float(err.sum() / n)
+    theta = _fit_logistic(X[train_idx], y[train_idx].astype(np.float64), epochs, eta)
+    w, b = theta[:-1], float(theta[-1])
 
     val_scores = lm._sigmoid(np.asarray(X[val_idx] @ w) + b)
     val_y = y[val_idx]
@@ -418,6 +397,90 @@ def train_detector(
         threshold=threshold,
         measured_gamma=gamma,
     )
+
+
+def _fold_indices(y: np.ndarray, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, validation) row indices: a seeded ``val_fraction`` of each class is held out."""
+    if not (0.0 < val_fraction < 1.0):
+        raise DetectorError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if seed < 0:
+        raise DetectorError(f"seed must be >= 0, got {seed}")
+    if not y.any() or y.all():
+        raise DetectorError("detector training needs both classes present")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    pos_idx = rng.permutation(np.flatnonzero(y))
+    neg_idx = rng.permutation(np.flatnonzero(~y))
+    n_pos_val = max(1, int(round(val_fraction * len(pos_idx))))
+    n_neg_val = max(1, int(round(val_fraction * len(neg_idx))))
+    if n_pos_val >= len(pos_idx) or n_neg_val >= len(neg_idx):
+        raise DetectorError("dataset too small to hold out a validation fold")
+    val_idx = np.concatenate([pos_idx[:n_pos_val], neg_idx[:n_neg_val]])
+    train_idx = np.concatenate([pos_idx[n_pos_val:], neg_idx[n_neg_val:]])
+    return train_idx, val_idx
+
+
+def _fit_logistic(X: sparse.csr_matrix, y: np.ndarray, max_iter: int, first_step: float) -> np.ndarray:
+    """``[w, b]`` minimising the detector objective on (X, y) by L-BFGS (Liu & Nocedal 1989).
+
+    The direction comes from the two-loop recursion over the last
+    ``LBFGS_MEMORY`` curvature pairs, scaled by the newest pair's s.y / y.y;
+    the first iteration has no pairs and steps ``first_step`` along the
+    negative gradient. Steps are halved until the Armijo condition holds. The
+    objective is strictly convex (the bias column is constant and the weights
+    are penalised), so s.y > 0 except through rounding; such pairs are skipped.
+    """
+    n = X.shape[0]
+    XT = X.T  # a CSC view, no copy; at the desk shape its matvec beats a CSR copy's
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        w = theta[:-1]
+        z = np.asarray(X @ w)
+        z += theta[-1]
+        loss = (np.logaddexp(0.0, z).sum() - y @ z) / n + 0.5 * L2_PENALTY * (w @ w)
+        err = lm._sigmoid(z)
+        err -= y
+        grad = np.empty_like(theta)
+        grad[:-1] = XT @ err
+        grad[:-1] /= n
+        grad[:-1] += L2_PENALTY * w
+        grad[-1] = err.sum() / n
+        return float(loss), grad
+
+    theta = np.zeros(X.shape[1] + 1)
+    loss, grad = objective(theta)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, s.y), oldest first
+    step = first_step
+    for _ in range(max_iter):
+        if np.abs(grad).max() <= GRAD_TOL:
+            break
+        q = grad.copy()
+        alphas = []
+        for s, yv, sy in reversed(pairs):
+            a = (s @ q) / sy
+            q -= a * yv
+            alphas.append(a)
+        if pairs:
+            s, yv, sy = pairs[-1]
+            q *= sy / (yv @ yv)
+        for (s, yv, sy), a in zip(pairs, reversed(alphas)):
+            q += (a - (yv @ q) / sy) * s
+        direction = -q
+        slope = grad @ direction
+        for _ in range(MAX_HALVINGS):
+            trial = theta + step * direction
+            trial_loss, trial_grad = objective(trial)
+            if trial_loss <= loss + ARMIJO_C * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no decrease left at float64 resolution
+        s, yv = trial - theta, trial_grad - grad
+        sy = s @ yv
+        if sy > 0:
+            pairs = [*pairs, (s, yv, sy)][-LBFGS_MEMORY:]
+        theta, loss, grad = trial, trial_loss, trial_grad
+        step = 1.0
+    return theta
 
 
 def _select_threshold(scores: np.ndarray, y: np.ndarray, fpr_cap: float) -> tuple[float, float]:

@@ -148,8 +148,8 @@ DETECTOR_SCHEMA: dict[str, ConfigKey] = {
     "substitution_rate": ConfigKey("float", "0.5", "per-word substitution probability"),
     "variants_per_seed": ConfigKey("int", "10", "paraphrased variants generated per seed"),
     "phi_seed": ConfigKey("int", "0", "seed of the paraphraser"),
-    "epochs": ConfigKey("int", "300", "classifier gradient-descent epochs"),
-    "eta": ConfigKey("float", "2.0", "classifier learning rate"),
+    "epochs": ConfigKey("int", "300", "cap on the classifier's L-BFGS iterations"),
+    "eta": ConfigKey("float", "2.0", "classifier's first L-BFGS step along the negative gradient"),
     "seed": ConfigKey("int", "0", "seed for the train/validation fold split"),
     "char_dim": ConfigKey("int", "4096", "character n-gram hashing dimension"),
     "word_dim": ConfigKey("int", "2048", "word n-gram hashing dimension"),

@@ -5,8 +5,9 @@ code path: finite differences for gradients, one-sequence backward passes
 for batched gradient norms and sums, a boolean-mask two-branch logistic
 function for the gate sigmoid, quadrature for the Renyi divergence,
 brute-force sorting and recounting for ranks and attack accuracies, a
-per-gram ``zlib.crc32`` loop for the detector's hashed features, and a
-candidate-by-candidate recount for the detector's threshold.
+per-gram ``zlib.crc32`` loop for the detector's hashed features, a
+candidate-by-candidate recount for the detector's threshold, and the
+detector's objective with fixed-step gradient descent on it for its solver.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy import integrate, sparse
 
 from privlm import lm
 from privlm.corpus import TokenSequence
+from privlm.detector import L2_PENALTY
 from privlm.lm import LMParameters
 
 
@@ -174,3 +176,40 @@ def select_threshold_by_scan(
     best_tpr = max(tpr for _, tpr in feasible)
     band = [t for t, tpr in feasible if tpr == best_tpr]
     return (min(band) + max(band)) / 2.0, best_tpr
+
+
+def detector_objective(
+    X: sparse.csr_matrix, y: np.ndarray, w: np.ndarray, b: float
+) -> tuple[float, np.ndarray]:
+    """Mean logistic loss plus ``L2_PENALTY/2 * ||w||^2`` and its gradient over ``[w, b]``.
+
+    Each row's loss is ``log(1 + exp(-m))`` for the signed margin ``m = z`` on
+    a positive and ``-z`` on a negative; the gradient is written from
+    ``d/dz log(1 + e^z) = sigmoid(z)``, with the bias unpenalised.
+    """
+    y = np.asarray(y, dtype=bool)
+    z = np.asarray(X @ w) + b
+    margin = np.where(y, z, -z)
+    loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * L2_PENALTY * float(np.dot(w, w))
+    residual = sigmoid_by_branches(z) - y
+    grad_w = np.asarray(X.T @ residual) / len(y) + L2_PENALTY * w
+    return loss, np.append(grad_w, residual.mean())
+
+
+def detector_gd_by_loop(
+    X: sparse.csr_matrix, y: np.ndarray, epochs: int, eta: float
+) -> tuple[np.ndarray, float]:
+    """``(w, b)`` after ``epochs`` full-batch gradient-descent steps of size ``eta`` from zero.
+
+    Each step on the detector's objective is ``w -= eta * (X^T err / n + L2 * w)``
+    and ``b -= eta * mean(err)`` with ``err = sigmoid(Xw + b) - y``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    n = X.shape[0]
+    for _ in range(epochs):
+        err = sigmoid_by_branches(np.asarray(X @ w) + b) - y
+        w = w - eta * (np.asarray(X.T @ err) / n + L2_PENALTY * w)
+        b = b - eta * float(err.sum() / n)
+    return w, b

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,15 @@ class TestVocabulary:
                               ("<unk>\na\n<unk>\nb\n", "line 3: token '<unk>' repeats line 1")):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(CorpusError, match=message):
+                Vocabulary.load(path)
+
+    def test_load_names_the_line_of_an_invalid_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        for text, line, token in (("<unk>\na\n\nb\n", 3, ""), ("<unk>\na\nx y\n", 3, "x y"),
+                                  ("<unk>\n\tb\n", 2, "\tb")):
+            path.write_text(text, encoding="utf-8")
+            message = f"vocabulary file {path}, line {line}: invalid vocabulary token {token!r}"
+            with pytest.raises(CorpusError, match=re.escape(message)):
                 Vocabulary.load(path)
 
     @settings(max_examples=300, deadline=None)

@@ -6,13 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import featurize_by_loop, select_threshold_by_scan
-from privlm import lm, privacy
+from oracles import (
+    detector_gd_by_loop,
+    detector_objective,
+    featurize_by_loop,
+    select_threshold_by_scan,
+)
+from privlm import lm, privacy, synth
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
     AugmentationConfig,
     DetectorError,
     DetectorModel,
+    GRAD_TOL,
+    _fold_indices,
     _select_threshold,
     audit_context,
     build_detector_dataset,
@@ -213,6 +220,59 @@ class TestTrainDetector:
         ds = build_detector_dataset(CANARY_SEEDS, NEUTRAL_LINES, dataclasses.replace(aug, passes=2))
         with pytest.raises(DetectorError, match="fpr_cap"):
             train_detector(ds, epochs=1, char_dim=64, word_dim=32, fpr_cap=fpr_cap)
+
+
+# The detector config of the acceptance suite's desk bundle.
+DESK_DETECTOR = dict(epochs=300, eta=2.0, seed=7, char_dim=4096, word_dim=2048, fpr_cap=0.05)
+
+
+@pytest.fixture(scope="module")
+def desk_detector():
+    data = synth.generate_desk_corpus(n_lines=2000, sensitive_fraction=0.08, seed=0)
+    aug = AugmentationConfig(
+        synonym_table=default_synonyms(), substitution_rate=0.5, passes=15, seed=11
+    )
+    dataset = build_detector_dataset(data.detector_seeds, data.neutral_sample, aug)
+    train_idx, _ = _fold_indices(dataset.labels, 0.25, DESK_DETECTOR["seed"])
+    X = featurize(dataset.texts, DESK_DETECTOR["char_dim"], DESK_DETECTOR["word_dim"])
+    return {
+        "dataset": dataset,
+        "Xtr": X[train_idx],
+        "ytr": dataset.labels[train_idx],
+        "model": train_detector(dataset, **DESK_DETECTOR),
+    }
+
+
+class TestSolver:
+    def test_gradient_within_tolerance_at_desk_config(self, desk_detector):
+        model = desk_detector["model"]
+        _, grad = detector_objective(
+            desk_detector["Xtr"], desk_detector["ytr"], model.weights, model.bias
+        )
+        # 1e-12 covers the oracle summing the gradient in another order.
+        assert np.abs(grad).max() <= GRAD_TOL + 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, DESK_DETECTOR["epochs"]))
+    @example(k=1)
+    @example(k=DESK_DETECTOR["epochs"])
+    def test_objective_at_most_any_gradient_descent_prefix(self, desk_detector, k):
+        Xtr, ytr, model = desk_detector["Xtr"], desk_detector["ytr"], desk_detector["model"]
+        converged, _ = detector_objective(Xtr, ytr, model.weights, model.bias)
+        w, b = detector_gd_by_loop(Xtr, ytr, k, DESK_DETECTOR["eta"])
+        assert converged <= detector_objective(Xtr, ytr, w, b)[0]
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    def test_one_iteration_is_one_gradient_descent_epoch(self, desk_detector, eta):
+        model = train_detector(desk_detector["dataset"], **dict(DESK_DETECTOR, epochs=1, eta=eta))
+        w, b = detector_gd_by_loop(desk_detector["Xtr"], desk_detector["ytr"], 1, eta)
+        np.testing.assert_allclose(model.weights, w, rtol=1e-12, atol=1e-15)
+        assert model.bias == pytest.approx(b, rel=1e-12)
+
+    def test_two_solves_save_identical_files(self, desk_detector, tmp_path):
+        desk_detector["model"].save(tmp_path / "a.bin")
+        train_detector(desk_detector["dataset"], **DESK_DETECTOR).save(tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 # Scores rounded to one or two decimals tie often, within and across classes.

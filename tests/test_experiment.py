@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from contextlib import nullcontext
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import privlm
 from privlm import attacks, detector, experiment, lm, privacy, synth
 from privlm.cli import main as cli_main
 from privlm.corpus import TokenSequence
@@ -674,6 +678,27 @@ class TestDetectorTraining:
         assert out.exists()
         assert info["measured_gamma"] >= 0.9
         assert info["n_positive"] > 0 and info["n_negative"] > 0
+
+    def test_training_loads_neither_scipy_optimize_nor_stats(self, data_dir, tmp_path):
+        # Each would add tens of MB of resident memory to every detector and audit run.
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(
+            f"seeds = {data_dir['seeds']}\nnegatives = {data_dir['negatives']}\n"
+            f"char_dim = 64\nword_dim = 32\nout = {tmp_path / 'det.bin'}\n",
+            encoding="utf-8",
+        )
+        script = (
+            "import sys\n"
+            "from privlm.experiment import train_detector_from_config\n"
+            "train_detector_from_config(sys.argv[1])\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+        )
+        src = str(Path(privlm.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert (tmp_path / "det.bin").exists()
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
         "char_dim, word_dim, field",
