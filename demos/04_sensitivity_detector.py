@@ -14,7 +14,6 @@ from privlm.detector import (
     audit_context,
     build_detector_dataset,
     default_synonyms,
-    estimate_gamma,
     identity_augmentation,
     paraphrase,
     train_detector,
@@ -57,7 +56,7 @@ print(f"trained: threshold {model.threshold:.3f}, "
       f"held-out true-positive rate gamma = {model.measured_gamma:.3f}")
 
 held_out = [paraphrase(s, aug, k) for s in seeds for k in range(50, 60)]
-print(f"gamma on 40 fresh paraphrases: {estimate_gamma(model, held_out):.3f}")
+print(f"gamma on 40 fresh paraphrases: {model.flags(held_out).mean():.3f}")
 
 print("\nclassifying:")
 texts = ["My new bank security code is", neutral[0]]

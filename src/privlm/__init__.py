@@ -32,7 +32,6 @@ from .detector import (
     DetectorModel,
     audit_context,
     build_detector_dataset,
-    estimate_gamma,
     paraphrase,
     train_detector,
 )

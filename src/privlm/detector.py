@@ -16,11 +16,14 @@ counts, for ``t = texts[i]``,
   joined by one space), each in column
   ``char_dim + crc32(b"w|" + gram.encode("utf-8")) % word_dim``;
 
-and is then divided by its L2 norm. The kernel is vectorised over all texts
-at once: one table-driven CRC-32 sweep computes every character gram's
-bucket, each distinct word gram is hashed once, and one ``np.unique`` counts
-(row, column) pairs in CSR order. ``tests/oracles.featurize_by_loop`` is the
-same contract written gram by gram.
+and is then divided by its L2 norm. The kernel is vectorised over a block
+of ``TEXT_BLOCK`` texts at once: one table-driven CRC-32 sweep computes
+every character gram's bucket, each distinct word gram is hashed once, and
+one ``np.unique`` counts (row, column) pairs in CSR order.
+``tests/oracles.featurize_by_loop`` is the same contract written gram by
+gram. The matrix is a numpy ``CsrMatrix``; ``_csr_products`` multiplies it
+in the summation order of scipy's ``csr_matvec`` and ``csc_matvec``, so the
+detector's files and scores are the bits scipy would give.
 
 The context audit asks, for a target token in a sequence: what is the
 shortest suffix of its preceding text whose paraphrase still predicts the
@@ -34,11 +37,11 @@ every paraphrased suffix are scored in one batched language-model pass.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import lm
 from .corpus import TokenSequence, Vocabulary, derived_seed, tokenize
@@ -51,6 +54,7 @@ GRAD_TOL = 1e-6  # the solve stops once every gradient entry is at most this in 
 LBFGS_MEMORY = 10  # curvature pairs the L-BFGS direction is built from
 ARMIJO_C = 1e-4  # sufficient-decrease fraction of the backtracking line search
 MAX_HALVINGS = 60  # backtracking steps before the line search gives up
+TEXT_BLOCK = 128  # texts featurized and scored at a time; small blocks keep the arrays in cache
 
 
 class DetectorError(ValueError):
@@ -205,9 +209,36 @@ def _word_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(texts), dtype=np.uint32), per_row), crcs
 
 
-def featurize(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matrix:
-    """L2-normalized hashed n-gram count matrix, one row per text (contract in the module docstring)."""
+@dataclass(frozen=True)
+class CsrMatrix:
+    """Compressed sparse rows: row i holds ``data[indptr[i]:indptr[i + 1]]`` at those ``indices``."""
+
+    data: np.ndarray  # float64
+    indices: np.ndarray  # int64 column of each entry
+    indptr: np.ndarray  # int64, one more than the rows
+    shape: tuple[int, int]
+
+
+def featurize(texts: list[str], char_dim: int, word_dim: int) -> CsrMatrix:
+    """L2-normalized hashed n-gram count matrix, one row per text (contract in the module docstring).
+
+    A row depends on its own text only, so texts are counted ``TEXT_BLOCK`` at a time.
+    """
     _check_dims(char_dim, word_dim)
+    blocks = [
+        _count_grams(texts[i : i + TEXT_BLOCK], char_dim, word_dim)
+        for i in range(0, max(len(texts), 1), TEXT_BLOCK)
+    ]
+    data, indices, lengths = (np.concatenate(parts) for parts in zip(*blocks))
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return CsrMatrix(data, indices, indptr, (len(texts), char_dim + word_dim))
+
+
+def _count_grams(
+    texts: list[str], char_dim: int, word_dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``data`` and ``indices`` of ``featurize(texts)``, and the length of each row."""
     width = char_dim + word_dim
     # uint32 keys halve the sort's memory; uint64 only where row * width overflows them.
     key_type = np.uint32 if max(len(texts), 1) * width < 2**32 else np.uint64
@@ -224,12 +255,52 @@ def featurize(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matr
     counts = counts.astype(np.float64)
     # Integer counts: the squared sums are exact in any order, as in np.linalg.norm.
     norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=len(texts)))
-    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(texts)), out=indptr[1:])
-    return sparse.csr_matrix(
-        (counts / norms[rows], cols.astype(np.int64), indptr),
-        shape=(len(texts), width),
-    )
+    return counts / norms[rows], cols.astype(np.int64), np.bincount(rows, minlength=len(texts))
+
+
+def _csr_products(
+    X: CsrMatrix,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """``(w -> X @ w, v -> X.T @ v)``: each entry sums its terms from +0.0, in CSR order.
+
+    That is the order of scipy's ``csr_matvec`` and ``csc_matvec``, so both
+    products are bit-identical to scipy's. Row sums reduce a (longest row,
+    rows + 1) layout, built once per X: entry j of row i sits at [j, i], and
+    numpy reduces axis 0 one layout row at a time. The spare zero column
+    keeps the layout two wide, because numpy sums a lone column pairwise.
+    Padding reads an appended zero weight, so it adds +0.0 even where a
+    weight is not finite. Column sums are ``np.bincount``, which adds its
+    weights in input order.
+    """
+    n, width = X.shape
+    lengths = np.diff(X.indptr)
+    depth = int(lengths.max(initial=0))
+    # Row i of the transposed layout takes row i's entries, in CSR order.
+    filled = np.arange(depth) < lengths[:, None]
+    cols = np.full((depth, n + 1), width, dtype=np.intp)
+    cols.T[:n][filled] = X.indices
+    vals = np.zeros((depth, n + 1))
+    vals.T[:n][filled] = X.data
+    padded = np.zeros(width + 1)
+
+    def matvec(w: np.ndarray) -> np.ndarray:
+        padded[:width] = w
+        terms = padded.take(cols)
+        terms *= vals
+        return np.add.reduce(terms, axis=0, initial=0.0)[:n]
+
+    def rmatvec(v: np.ndarray) -> np.ndarray:
+        terms = np.repeat(v, lengths)
+        terms *= X.data
+        # bincount returns integer zeros when it has no entries at all.
+        return np.bincount(X.indices, weights=terms, minlength=width).astype(np.float64, copy=False)
+
+    return matvec, rmatvec
+
+
+def _scores(X: CsrMatrix, weights: np.ndarray, bias: float) -> np.ndarray:
+    matvec, _ = _csr_products(X)
+    return lm._sigmoid(matvec(weights) + bias)
 
 
 @dataclass
@@ -244,8 +315,12 @@ class DetectorModel:
     measured_gamma: float
 
     def score_texts(self, texts: list[str]) -> np.ndarray:
-        X = featurize(texts, self.char_dim, self.word_dim)
-        return lm._sigmoid(np.asarray(X @ self.weights) + self.bias)
+        # Block by block, so the product's layout stays as small as featurize's arrays.
+        return np.concatenate([
+            _scores(featurize(texts[i : i + TEXT_BLOCK], self.char_dim, self.word_dim),
+                    self.weights, self.bias)
+            for i in range(0, max(len(texts), 1), TEXT_BLOCK)
+        ])
 
     def flags(self, texts: list[str]) -> np.ndarray:
         """Sensitivity decision per text: sigmoid score >= threshold."""
@@ -382,13 +457,13 @@ def train_detector(
     y = dataset.labels
     train_idx, val_idx = _fold_indices(y, val_fraction, seed)
 
-    X = featurize(dataset.texts, char_dim, word_dim)
-    theta = _fit_logistic(X[train_idx], y[train_idx].astype(np.float64), epochs, eta)
+    # A row depends on its own text only, so each fold is featurized on its own.
+    X_train, X_val = (
+        featurize([dataset.texts[i] for i in idx], char_dim, word_dim) for idx in (train_idx, val_idx)
+    )
+    theta = _fit_logistic(X_train, y[train_idx].astype(np.float64), epochs, eta)
     w, b = theta[:-1], float(theta[-1])
-
-    val_scores = lm._sigmoid(np.asarray(X[val_idx] @ w) + b)
-    val_y = y[val_idx]
-    threshold, gamma = _select_threshold(val_scores, val_y, fpr_cap)
+    threshold, gamma = _select_threshold(_scores(X_val, w, b), y[val_idx], fpr_cap)
     return DetectorModel(
         char_dim=char_dim,
         word_dim=word_dim,
@@ -419,7 +494,7 @@ def _fold_indices(y: np.ndarray, val_fraction: float, seed: int) -> tuple[np.nda
     return train_idx, val_idx
 
 
-def _fit_logistic(X: sparse.csr_matrix, y: np.ndarray, max_iter: int, first_step: float) -> np.ndarray:
+def _fit_logistic(X: CsrMatrix, y: np.ndarray, max_iter: int, first_step: float) -> np.ndarray:
     """``[w, b]`` minimising the detector objective on (X, y) by L-BFGS (Liu & Nocedal 1989).
 
     The direction comes from the two-loop recursion over the last
@@ -430,17 +505,17 @@ def _fit_logistic(X: sparse.csr_matrix, y: np.ndarray, max_iter: int, first_step
     are penalised), so s.y > 0 except through rounding; such pairs are skipped.
     """
     n = X.shape[0]
-    XT = X.T  # a CSC view, no copy; at the desk shape its matvec beats a CSR copy's
+    matvec, rmatvec = _csr_products(X)
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w = theta[:-1]
-        z = np.asarray(X @ w)
+        z = matvec(w)
         z += theta[-1]
         loss = (np.logaddexp(0.0, z).sum() - y @ z) / n + 0.5 * L2_PENALTY * (w @ w)
         err = lm._sigmoid(z)
         err -= y
         grad = np.empty_like(theta)
-        grad[:-1] = XT @ err
+        grad[:-1] = rmatvec(err)
         grad[:-1] /= n
         grad[:-1] += L2_PENALTY * w
         grad[-1] = err.sum() / n
@@ -506,13 +581,6 @@ def _select_threshold(scores: np.ndarray, y: np.ndarray, fpr_cap: float) -> tupl
     # Max-margin: center the threshold in the band that attains the best TPR,
     # so held-out scores on either side keep distance from the boundary.
     return float((band.min() + band.max()) / 2.0), float(best_tpr)
-
-
-def estimate_gamma(model: DetectorModel, held_out_positives: list[str]) -> float:
-    """Fraction of held-out sensitive texts the detector flags."""
-    if not held_out_positives:
-        raise DetectorError("cannot estimate gamma on an empty positive set")
-    return float(model.flags(held_out_positives).sum()) / len(held_out_positives)
 
 
 @dataclass

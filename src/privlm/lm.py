@@ -175,7 +175,7 @@ def init_params(vocab_size: int, d_emb: int, d_hid: int, seed: int) -> LMParamet
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = exp(-|x|)
     # so exp never overflows; no boolean gather, same bits as the two branches
-    # (scipy.special.expit is as fast but differs in the last bit).
+    # (a library logistic function can differ from them in the last bit).
     e = np.exp(-np.abs(x))
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 

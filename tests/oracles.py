@@ -5,9 +5,11 @@ code path: finite differences for gradients, one-sequence backward passes
 for batched gradient norms and sums, a boolean-mask two-branch logistic
 function for the gate sigmoid, quadrature for the Renyi divergence,
 brute-force sorting and recounting for ranks and attack accuracies, a
-per-gram ``zlib.crc32`` loop for the detector's hashed features, a
-candidate-by-candidate recount for the detector's threshold, and the
-detector's objective with fixed-step gradient descent on it for its solver.
+per-gram ``zlib.crc32`` loop for the detector's hashed features, scipy's
+sparse products for the detector's numpy ones, a candidate-by-candidate
+recount for the detector's threshold, and the detector's objective with
+fixed-step gradient descent on it for its solver. ``estimate_gamma`` is the
+share of held-out positives a detector flags, which criterion 8 checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy import integrate, sparse
 
 from privlm import lm
 from privlm.corpus import TokenSequence
-from privlm.detector import L2_PENALTY
+from privlm.detector import L2_PENALTY, CsrMatrix, DetectorError, DetectorModel
 from privlm.lm import LMParameters
 
 
@@ -111,7 +113,7 @@ def per_example_rows(params: LMParameters, seqs: list[TokenSequence]) -> np.ndar
     return np.stack([lm.batch_gradients(params, [seq])[1][0] for seq in seqs])
 
 
-def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> sparse.csr_matrix:
+def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> CsrMatrix:
     """Hashed n-gram features, one ``zlib.crc32`` call per gram and one dict per text.
 
     Character 3-5-grams of ``" " + lower + " "`` go to ``crc32(b"c|" + utf8) %
@@ -141,10 +143,17 @@ def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> sparse.
         indices.extend(keys)
         data.extend(vals.tolist())
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(texts), char_dim + word_dim),
+    return CsrMatrix(
+        np.array(data, dtype=np.float64),
+        np.array(indices, dtype=np.int64),
+        np.array(indptr, dtype=np.int64),
+        (len(texts), char_dim + word_dim),
     )
+
+
+def scipy_csr(X: CsrMatrix) -> sparse.csr_matrix:
+    """The same matrix as a ``scipy.sparse.csr_matrix``, whose products the detector's must equal."""
+    return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
 def select_threshold_by_scan(
@@ -179,7 +188,7 @@ def select_threshold_by_scan(
 
 
 def detector_objective(
-    X: sparse.csr_matrix, y: np.ndarray, w: np.ndarray, b: float
+    X: CsrMatrix, y: np.ndarray, w: np.ndarray, b: float
 ) -> tuple[float, np.ndarray]:
     """Mean logistic loss plus ``L2_PENALTY/2 * ||w||^2`` and its gradient over ``[w, b]``.
 
@@ -187,6 +196,7 @@ def detector_objective(
     a positive and ``-z`` on a negative; the gradient is written from
     ``d/dz log(1 + e^z) = sigmoid(z)``, with the bias unpenalised.
     """
+    X = scipy_csr(X)
     y = np.asarray(y, dtype=bool)
     z = np.asarray(X @ w) + b
     margin = np.where(y, z, -z)
@@ -197,13 +207,14 @@ def detector_objective(
 
 
 def detector_gd_by_loop(
-    X: sparse.csr_matrix, y: np.ndarray, epochs: int, eta: float
+    X: CsrMatrix, y: np.ndarray, epochs: int, eta: float
 ) -> tuple[np.ndarray, float]:
     """``(w, b)`` after ``epochs`` full-batch gradient-descent steps of size ``eta`` from zero.
 
     Each step on the detector's objective is ``w -= eta * (X^T err / n + L2 * w)``
     and ``b -= eta * mean(err)`` with ``err = sigmoid(Xw + b) - y``.
     """
+    X = scipy_csr(X)
     y = np.asarray(y, dtype=np.float64)
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -213,3 +224,10 @@ def detector_gd_by_loop(
         w = w - eta * (np.asarray(X.T @ err) / n + L2_PENALTY * w)
         b = b - eta * float(err.sum() / n)
     return w, b
+
+
+def estimate_gamma(model: DetectorModel, held_out_positives: list[str]) -> float:
+    """Fraction of held-out sensitive texts the detector flags."""
+    if not held_out_positives:
+        raise DetectorError("cannot estimate gamma on an empty positive set")
+    return float(model.flags(held_out_positives).sum()) / len(held_out_positives)

@@ -27,7 +27,6 @@ from privlm.detector import (
     build_detector_dataset,
     constant_detector,
     default_synonyms,
-    estimate_gamma,
     paraphrase,
     train_detector,
 )
@@ -41,6 +40,7 @@ from privlm.privacy import PrivacyError, PrivacySpec
 
 from conftest import record_acceptance
 from oracles import (
+    estimate_gamma,
     finite_difference_gradient,
     per_example_rows,
     rank_by_sorting,

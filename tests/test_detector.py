@@ -9,23 +9,27 @@ from hypothesis import strategies as st
 from oracles import (
     detector_gd_by_loop,
     detector_objective,
+    estimate_gamma,
     featurize_by_loop,
+    scipy_csr,
     select_threshold_by_scan,
 )
 from privlm import lm, privacy, synth
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
+    TEXT_BLOCK,
     AugmentationConfig,
+    CsrMatrix,
     DetectorError,
     DetectorModel,
     GRAD_TOL,
+    _csr_products,
     _fold_indices,
     _select_threshold,
     audit_context,
     build_detector_dataset,
     constant_detector,
     default_synonyms,
-    estimate_gamma,
     featurize,
     identity_augmentation,
     load_synonyms,
@@ -141,6 +145,18 @@ class TestFeaturize:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
+    def test_no_texts_is_an_empty_matrix(self):
+        X = featurize([], 16, 8)
+        assert X.shape == (0, 24)
+        assert X.data.size == X.indices.size == 0 and X.data.dtype == np.float64
+        assert np.array_equal(X.indptr, [0]) and X.indptr.dtype == np.int64
+
+    def test_more_texts_than_one_block(self):
+        texts = [f"line {i} of the {i % 7} th kind" for i in range(2 * TEXT_BLOCK + 5)]
+        got, want = featurize(texts, 64, 32), featurize_by_loop(texts, 64, 32)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_unencodable_text_still_raises(self):
         for fn in (featurize, featurize_by_loop):
             with pytest.raises(UnicodeEncodeError):
@@ -222,6 +238,58 @@ class TestTrainDetector:
             train_detector(ds, epochs=1, char_dim=64, word_dim=32, fpr_cap=fpr_cap)
 
 
+# Values 1e16 apart, so that any other summation order changes some bits.
+ENTRY_VALUES = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3), st.sampled_from([1e16, -1e16, 0.0, -0.0])
+)
+
+
+@st.composite
+def csr_matrices(draw):
+    """CSR records with empty rows, a single row, unused columns and rows longer than 8."""
+    n_rows = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 40))
+    rows = [
+        sorted(draw(st.lists(st.integers(0, width - 1), unique=True, max_size=min(width, 24))))
+        for _ in range(n_rows)
+    ]
+    indices = np.array([c for row in rows for c in row], dtype=np.int64)
+    data = np.array(draw(st.lists(ENTRY_VALUES, min_size=indices.size, max_size=indices.size)),
+                    dtype=np.float64)
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    return CsrMatrix(data, indices, indptr, (n_rows, width))
+
+
+class TestCsrProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(X=csr_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_equal_scipy_bit_for_bit(self, X, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-8, 9, size=X.shape[1] + X.shape[0])
+        w = rng.standard_normal(X.shape[1]) * scale[: X.shape[1]]
+        v = rng.standard_normal(X.shape[0]) * scale[X.shape[1] :]
+        matvec, rmatvec = _csr_products(X)
+        want_w, want_v = scipy_csr(X) @ w, scipy_csr(X).T @ v
+        got_w, got_v = matvec(w), rmatvec(v)
+        assert got_w.dtype == got_v.dtype == np.float64
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_v.tobytes() == want_v.tobytes()
+
+    def test_single_long_row(self):
+        # numpy sums one contiguous column pairwise; the row sum must stay sequential.
+        data = np.array([1e16, 1.0, -1e16] + [1.0] * 20)
+        X = CsrMatrix(data, np.arange(23, dtype=np.int64), np.array([0, 23], dtype=np.int64), (1, 23))
+        got = _csr_products(X)[0](np.ones(23))
+        assert got.tobytes() == (scipy_csr(X) @ np.ones(23)).tobytes() == np.array([20.0]).tobytes()
+
+    def test_padding_adds_zero_against_nonfinite_weights(self):
+        X = featurize(["a b", "a much longer line of text"], 16, 8)
+        w = np.full(24, np.inf)
+        w[X.indices[: X.indptr[1]]] = 1.0  # every weight the short row reads is finite
+        got = _csr_products(X)[0](w)
+        assert np.isfinite(got[0]) and got[0].tobytes() == (scipy_csr(X) @ w)[0].tobytes()
+
+
 # The detector config of the acceptance suite's desk bundle.
 DESK_DETECTOR = dict(epochs=300, eta=2.0, seed=7, char_dim=4096, word_dim=2048, fpr_cap=0.05)
 
@@ -234,10 +302,11 @@ def desk_detector():
     )
     dataset = build_detector_dataset(data.detector_seeds, data.neutral_sample, aug)
     train_idx, _ = _fold_indices(dataset.labels, 0.25, DESK_DETECTOR["seed"])
-    X = featurize(dataset.texts, DESK_DETECTOR["char_dim"], DESK_DETECTOR["word_dim"])
+    Xtr = featurize([dataset.texts[i] for i in train_idx], DESK_DETECTOR["char_dim"],
+                    DESK_DETECTOR["word_dim"])
     return {
         "dataset": dataset,
-        "Xtr": X[train_idx],
+        "Xtr": Xtr,
         "ytr": dataset.labels[train_idx],
         "model": train_detector(dataset, **DESK_DETECTOR),
     }
@@ -326,6 +395,17 @@ class TestClassify:
         # once it turns off it stays off
         assert labels == sorted(labels, reverse=True)
         assert labels[0] is True
+
+    def test_no_texts_scores_nothing(self, trained_detector):
+        scores = trained_detector.score_texts([])
+        assert scores.shape == (0,) and scores.dtype == np.float64
+
+    def test_scores_do_not_depend_on_the_batch(self, trained_detector):
+        texts = [f"{NEUTRAL_LINES[i % len(NEUTRAL_LINES)]} {i}" for i in range(TEXT_BLOCK + 40)]
+        texts[TEXT_BLOCK + 3] = CANARY_SEEDS[0]
+        batched = trained_detector.score_texts(texts)
+        alone = np.concatenate([trained_detector.score_texts([t]) for t in texts])
+        assert batched.tobytes() == alone.tobytes()
 
     def test_save_load_roundtrip(self, trained_detector, tmp_path):
         path = tmp_path / "det.bin"

@@ -679,26 +679,37 @@ class TestDetectorTraining:
         assert info["measured_gamma"] >= 0.9
         assert info["n_positive"] > 0 and info["n_negative"] > 0
 
-    def test_training_loads_neither_scipy_optimize_nor_stats(self, data_dir, tmp_path):
-        # Each would add tens of MB of resident memory to every detector and audit run.
-        cfg = tmp_path / "det.cfg"
-        cfg.write_text(
+    def test_cadp_pipeline_loads_no_scipy(self, data_dir, tmp_path):
+        # SciPy's import alone adds about 16 MB of resident memory to every run.
+        det_cfg = tmp_path / "det.cfg"
+        det_cfg.write_text(
             f"seeds = {data_dir['seeds']}\nnegatives = {data_dir['negatives']}\n"
             f"char_dim = 64\nword_dim = 32\nout = {tmp_path / 'det.bin'}\n",
             encoding="utf-8",
         )
+        train_cfg = write_train_config(tmp_path / "train.cfg", data_dir, tmp_path / "run",
+                                       regime="cadp", detector=tmp_path / "det.bin", delta=0.5,
+                                       epochs=1)
         script = (
             "import sys\n"
-            "from privlm.experiment import train_detector_from_config\n"
-            "train_detector_from_config(sys.argv[1])\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+            "from pathlib import Path\n"
+            "from privlm import experiment, report\n"
+            "experiment.train_detector_from_config(sys.argv[1])\n"
+            "manifest = experiment.train(experiment.ExperimentConfig.from_file(sys.argv[2]))\n"
+            "path = Path(sys.argv[3]) / 'manifest.json'\n"
+            "experiment.run_attacks(path)\n"
+            "experiment.audit_manifest_context(path, 'my bank security code is 31', 6, 1.0)\n"
+            "report.write_report([path], Path(sys.argv[3]) / 'report')\n"
+            "import privlm.cli\n"
+            "print(manifest['status'], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(privlm.__file__).parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
-                              capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", script, str(det_cfg), str(train_cfg),
+                               str(tmp_path / "run")], env=env, capture_output=True, text=True, check=True)
         assert (tmp_path / "det.bin").exists()
-        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "run" / "report").is_dir()
+        assert proc.stdout.strip() == "completed []"
 
     @pytest.mark.parametrize(
         "char_dim, word_dim, field",
