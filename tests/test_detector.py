@@ -137,6 +137,9 @@ class TestFeaturize:
         char_dim=1, word_dim=1,
     )
     @example(texts=["my bank security code is 450", "\u0130 \u03a3\u03a3 x"], char_dim=4096, word_dim=2048)
+    @example(texts=[], char_dim=16, word_dim=8)
+    @example(texts=[f"line {i} of the {i % 7} th kind" for i in range(2 * TEXT_BLOCK + 5)],
+             char_dim=64, word_dim=32)
     def test_equals_per_gram_loop(self, texts, char_dim, word_dim):
         got = featurize(texts, char_dim, word_dim)
         want = featurize_by_loop(texts, char_dim, word_dim)
@@ -144,18 +147,6 @@ class TestFeaturize:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
-
-    def test_no_texts_is_an_empty_matrix(self):
-        X = featurize([], 16, 8)
-        assert X.shape == (0, 24)
-        assert X.data.size == X.indices.size == 0 and X.data.dtype == np.float64
-        assert np.array_equal(X.indptr, [0]) and X.indptr.dtype == np.int64
-
-    def test_more_texts_than_one_block(self):
-        texts = [f"line {i} of the {i % 7} th kind" for i in range(2 * TEXT_BLOCK + 5)]
-        got, want = featurize(texts, 64, 32), featurize_by_loop(texts, 64, 32)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_unencodable_text_still_raises(self):
         for fn in (featurize, featurize_by_loop):
