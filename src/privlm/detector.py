@@ -18,8 +18,8 @@ counts, for ``t = texts[i]``,
 
 and is then divided by its L2 norm. The kernel is vectorised over a block
 of ``TEXT_BLOCK`` texts at once: one table-driven CRC-32 sweep computes
-every character gram's bucket, each distinct word gram is hashed once, and
-one ``np.unique`` counts (row, column) pairs in CSR order.
+every character gram's bucket, each distinct word and word pair is hashed
+once, and one ``np.unique`` counts (row, column) pairs in CSR order.
 ``tests/oracles.featurize_by_loop`` is the same contract written gram by
 gram. The matrix is a numpy ``CsrMatrix``; ``_csr_products`` multiplies it
 in the summation order of scipy's ``csr_matvec`` and ``csc_matvec``, so the
@@ -39,6 +39,7 @@ from __future__ import annotations
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,7 @@ def _crc32_table() -> np.ndarray:
 _CRC_TABLE = _crc32_table()
 # CRC-32 register after the b"c|" prefix; zlib.crc32 returns the register inverted.
 _CHAR_REGISTER = np.uint32(zlib.crc32(b"c|") ^ 0xFFFFFFFF)
+_WORD_PREFIX_CRC = zlib.crc32(b"w|")  # zlib.crc32(gram, this) is crc32(b"w|" + gram)
 
 
 def _char_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -195,18 +197,37 @@ def _char_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _word_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and ``crc32(b"w|" + UTF-8)`` of every word 1- and 2-gram; each distinct gram hashed once."""
-    grams: list[str] = []
-    per_row = []
-    for text in texts:
-        words = text.lower().split()
-        bigrams = [a + " " + b for a, b in zip(words, words[1:])]
-        grams += words
-        grams += bigrams
-        per_row.append(len(words) + len(bigrams))
-    crc = {gram: zlib.crc32(b"w|" + gram.encode("utf-8")) for gram in set(grams)}
-    crcs = np.fromiter(map(crc.__getitem__, grams), dtype=np.uint32, count=len(grams))
-    return np.repeat(np.arange(len(texts), dtype=np.uint32), per_row), crcs
+    """Row and ``crc32(b"w|" + UTF-8)`` of every word 1- and 2-gram.
+
+    Words become ids and bigrams pairs of ids, so each distinct word and
+    each distinct bigram is joined and hashed once.
+    """
+    split = [text.lower().split() for text in texts]
+    counts = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
+    words = list(chain.from_iterable(split))
+    index = {word: i for i, word in enumerate(dict.fromkeys(words))}
+    ids = np.fromiter(map(index.__getitem__, words), dtype=np.intp, count=len(words))
+    # Word j pairs with word j + 1 unless it is the last word of its text.
+    pairs_next = np.ones(len(words), dtype=bool)
+    pairs_next[np.cumsum(counts)[counts > 0] - 1] = False
+    left, right = ids[:-1][pairs_next[:-1]], ids[1:][pairs_next[:-1]]
+    pairs, pair_of = np.unique(left * len(index) + right, return_inverse=True)
+    vocab = list(index)
+    word_crcs = np.fromiter(
+        (zlib.crc32(word.encode("utf-8"), _WORD_PREFIX_CRC) for word in vocab),
+        dtype=np.uint32, count=len(vocab),
+    )
+    first, second = np.divmod(pairs, len(index))
+    pair_crcs = np.fromiter(
+        (zlib.crc32(f"{vocab[a]} {vocab[b]}".encode("utf-8"), _WORD_PREFIX_CRC)
+         for a, b in zip(first.tolist(), second.tolist())),
+        dtype=np.uint32, count=len(pairs),
+    )
+    rows = np.arange(len(texts), dtype=np.uint32)
+    return (
+        np.concatenate([np.repeat(rows, counts), np.repeat(rows, np.maximum(counts - 1, 0))]),
+        np.concatenate([word_crcs[ids], pair_crcs[pair_of]]),
+    )
 
 
 @dataclass(frozen=True)
