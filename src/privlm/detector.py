@@ -236,7 +236,7 @@ class CsrMatrix:
 
     data: np.ndarray  # float64
     indices: np.ndarray  # int64 column of each entry
-    indptr: np.ndarray  # int64, one more than the rows
+    indptr: np.ndarray  # int64, rows + 1 offsets into data and indices
     shape: tuple[int, int]
 
 
