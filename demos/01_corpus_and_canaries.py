@@ -38,7 +38,7 @@ with tempfile.TemporaryDirectory(prefix="demo01_") as workdir:
         encoding="utf-8",
     )
 
-    corpus = load_corpus(corpus_file, lowercase=True, min_count=1)
+    corpus = load_corpus(corpus_file, min_count=1)
 print(f"loaded {len(corpus)} sequences, vocabulary size {corpus.vocabulary.size}")
 print("first sequence ids:", corpus.sequences[0].ids)
 print("decoded back:      ", corpus.vocabulary.decode(list(corpus.sequences[0].ids)))

@@ -52,7 +52,7 @@ def config_for(regime: str) -> ExperimentConfig:
             "regime": regime,
             "corpus": str(paths["corpus"]),
             "labels": str(paths["labels"]),
-            "lowercase": True, "min_count": 1, "max_seq_len": 64, "train_fraction": 0.8,
+            "min_count": 1, "max_seq_len": 64, "train_fraction": 0.8,
             "canary_prefix": variant_prefix,
             "canary_slot_alphabet": "123456789", "canary_slot_count": 3,
             "canary_fill": "452", "canary_count": 25,

@@ -1,9 +1,13 @@
 """Text corpus handling: tokenization, vocabularies, canary planting, splits.
 
 A corpus is a list of token sequences over a shared vocabulary. Input files
-are UTF-8 plain text, one sequence per line, tokenized on whitespace. Lines
-with fewer than two tokens are dropped: a language-model training example
-needs at least one context token and one target token.
+are UTF-8 plain text, one sequence per line. ``tokenize`` is the package's
+one word rule: lowercase the text, then split it on whitespace. Corpus
+lines, canaries, context audits and the detector's word grams all read words
+through it, so the vocabularies built here hold only lowercase,
+whitespace-free tokens. Lines with fewer than two tokens are dropped: a
+language-model training example needs at least one context token and one
+target token.
 
 All randomness (splits, planting positions, batch shuffles) flows from
 explicit integer seeds, so every derived object is reproducible.
@@ -37,11 +41,9 @@ def derived_seed(base: int, tag: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    """Whitespace word tokenization, optionally lowercased."""
-    if lowercase:
-        text = text.lower()
-    return text.split()
+def tokenize(text: str) -> list[str]:
+    """The words of ``text``: lowercased, then split on whitespace."""
+    return text.lower().split()
 
 
 class Vocabulary:
@@ -161,10 +163,9 @@ class TokenSequence:
         cls,
         text: str,
         vocabulary: Vocabulary,
-        lowercase: bool = True,
         max_len: int | None = None,
     ) -> "TokenSequence":
-        tokens = tokenize(text, lowercase)
+        tokens = tokenize(text)
         if max_len is not None:
             tokens = tokens[:max_len]
         return cls(ids=tuple(vocabulary.encode_tokens(tokens)), source_text=text)
@@ -267,7 +268,6 @@ class CanaryTemplate:
 
 def load_corpus(
     path: str | Path,
-    lowercase: bool = True,
     min_count: int = 1,
     max_len: int = 64,
     labels_path: str | Path | None = None,
@@ -287,7 +287,7 @@ def load_corpus(
 
     kept: list[tuple[str, list[str]]] = []
     for line in raw_lines:
-        tokens = tokenize(line, lowercase)[:max_len]
+        tokens = tokenize(line)[:max_len]
         if len(tokens) >= 2:
             kept.append((line, tokens))
     if not kept:
@@ -395,10 +395,6 @@ def plant_canary(
         raise CorpusError("count must be >= 0")
     sentence = canary_sentence(template, fill, max_len)
     extend_vocabulary_for_template(corpus.vocabulary, template)
-    if count == 0:
-        labels = list(corpus.labels) if corpus.labels is not None else None
-        return Corpus(list(corpus.sequences), corpus.vocabulary, labels), []
-
     canary = TokenSequence.from_text(sentence, corpus.vocabulary)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     seqs = list(corpus.sequences)

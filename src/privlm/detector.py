@@ -12,7 +12,7 @@ counts, for ``t = texts[i]``,
 
 - the character 3-5-grams of ``" " + t.lower() + " "``, each in column
   ``crc32(b"c|" + gram.encode("utf-8")) % char_dim``;
-- the word 1-2-grams of ``t.lower().split()`` (a bigram is its two words
+- the word 1-2-grams of ``corpus.tokenize(t)`` (a bigram is its two words
   joined by one space), each in column
   ``char_dim + crc32(b"w|" + gram.encode("utf-8")) % word_dim``;
 
@@ -202,7 +202,7 @@ def _word_gram_crcs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     Words become ids and bigrams pairs of ids, so each distinct word and
     each distinct bigram is joined and hashed once.
     """
-    split = [text.lower().split() for text in texts]
+    split = [tokenize(text) for text in texts]
     counts = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
     words = list(chain.from_iterable(split))
     index = {word: i for i, word in enumerate(dict.fromkeys(words))}
@@ -383,6 +383,8 @@ class DetectorModel:
         vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
         if vec.size != kv["char_dim"] + kv["word_dim"] + 1:
             raise DetectorError(f"{path}: weight vector has wrong size")
+        if not np.isfinite(vec).all():
+            raise DetectorError(f"{path}: detector weights and bias must be finite")
         return cls(
             char_dim=kv["char_dim"],
             word_dim=kv["word_dim"],
@@ -634,8 +636,10 @@ def audit_context(
 
     ``target_index`` is 1-based. Suffixes of the prefix are tried from the
     empty one upward; the first whose paraphrased conditional probability is
-    within ``alpha`` of the full-prefix probability is returned. Paraphrased
-    suffixes are re-encoded under ``vocabulary``.
+    within ``alpha`` of the full-prefix probability is returned. Each suffix
+    is paraphrased and re-encoded through ``corpus.tokenize`` under
+    ``vocabulary``, so an unchanged suffix keeps its ids: the vocabularies
+    this package builds hold only lowercase, whitespace-free tokens.
     """
     if not (1 <= target_index <= len(seq)):
         raise DetectorError(f"target_index {target_index} out of range for length {len(seq)}")
@@ -647,11 +651,8 @@ def audit_context(
     suffixes = []
     for length in range(len(prefix_ids) + 1):
         suffix_ids = prefix_ids[len(prefix_ids) - length :]
-        if cfg.substitution_rate > 0 and suffix_ids:
-            text = vocabulary.decode(suffix_ids)
-            transformed = tokenize(paraphrase(text, cfg, 0))
-            suffix_ids = vocabulary.encode_tokens(transformed)
-        suffixes.append(suffix_ids)
+        transformed = tokenize(paraphrase(vocabulary.decode(suffix_ids), cfg, 0))
+        suffixes.append(vocabulary.encode_tokens(transformed))
     probs = lm.conditional_probabilities(params, [prefix_ids] + suffixes, target_id)
     p_ref = float(probs[0])
     gaps = [abs(p_ref - float(p)) for p in probs[1:]]

@@ -41,8 +41,9 @@ Each epoch builds one ``lm.Workspace`` for ``batch_size`` and the longest
 training line, so every step of the epoch fits its buffers and none stays
 resident into the next epoch.
 
-Config files are flat ``key = value`` text; unknown keys are rejected. See
-the schemas below for every key and its default.
+Config files are flat ``key = value`` text of strings, integers and floats;
+unknown keys are rejected. See the schemas below for every key and its
+default. No key changes the word rule, ``corpus.tokenize``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ConfigKey:
-    kind: str  # str | int | float | bool
+    kind: str  # str | int | float
     default: str | None  # None means required
     help: str
     repeatable: bool = False
@@ -106,7 +107,6 @@ TRAIN_SCHEMA: dict[str, ConfigKey] = {
     "regime": ConfigKey("str", None, "one of nodp, dpsgd, sdpsgd, cadp"),
     "corpus": ConfigKey("str", None, "path to the training text, one sequence per line"),
     "labels": ConfigKey("str", "", "optional path to a 0/1 sensitivity label per corpus line"),
-    "lowercase": ConfigKey("bool", "true", "lowercase text during tokenization"),
     "min_count": ConfigKey("int", "1", "tokens rarer than this map to the unknown token"),
     "max_seq_len": ConfigKey("int", "64", "sequences are truncated to this many tokens"),
     "train_fraction": ConfigKey("float", "0.8", "train share of the corpus split"),
@@ -158,9 +158,6 @@ DETECTOR_SCHEMA: dict[str, ConfigKey] = {
     "out": ConfigKey("str", None, "detector checkpoint output path"),
 }
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 def parse_config_file(path: str | Path, schema: dict[str, ConfigKey]) -> dict:
     """Parse flat key=value text against a schema; unknown keys are rejected."""
     values: dict[str, object] = {
@@ -200,11 +197,9 @@ def parse_config_file(path: str | Path, schema: dict[str, ConfigKey]) -> dict:
                 out[key] = int(raw_val)
             elif spec.kind == "float":
                 out[key] = float(raw_val)
-            elif spec.kind == "bool":
-                out[key] = _BOOL[raw_val.lower()]
             else:
                 out[key] = raw_val
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ExperimentError(f"{path}: bad {spec.kind} value for {key!r}: {raw_val!r}") from exc
     return out
 
@@ -346,7 +341,6 @@ def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], i
     """
     corpus = load_corpus(
         config["corpus"],
-        lowercase=config["lowercase"],
         min_count=config["min_count"],
         max_len=config["max_seq_len"],
         labels_path=config["labels"] or None,
@@ -638,9 +632,7 @@ def audit_manifest_context(
         )
     else:
         cfg = detector_mod.identity_augmentation()
-    seq = TokenSequence.from_text(
-        sentence, vocab, lowercase=config["lowercase"], max_len=config["max_seq_len"]
-    )
+    seq = TokenSequence.from_text(sentence, vocab, max_len=config["max_seq_len"])
     return detector_mod.audit_context(params, seq, index, alpha, cfg, vocabulary=vocab)
 
 

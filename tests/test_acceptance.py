@@ -22,14 +22,7 @@ import privlm
 from privlm import lm, privacy, synth
 from privlm.attacks import membership_inference, build_mi_dataset
 from privlm.corpus import TokenSequence, derived_seed
-from privlm.detector import (
-    AugmentationConfig,
-    build_detector_dataset,
-    constant_detector,
-    default_synonyms,
-    paraphrase,
-    train_detector,
-)
+from privlm.detector import constant_detector, paraphrase, train_detector
 from privlm.experiment import (
     ExperimentConfig,
     prepare_data,
@@ -39,6 +32,15 @@ from privlm.experiment import (
 from privlm.privacy import PrivacyError, PrivacySpec
 
 from conftest import record_acceptance
+from desk import (
+    DESK,
+    DESK_DETECTOR,
+    canary_prefix,
+    config_for,
+    desk_augmentation,
+    desk_data,
+    desk_detector_dataset,
+)
 from oracles import (
     estimate_gamma,
     finite_difference_gradient,
@@ -47,16 +49,6 @@ from oracles import (
     renyi_divergence_quadrature,
 )
 
-# Desk-scale defaults chosen by calibration: the noise std per private step
-# is sigma*clip_bound; raising sigma at a fixed product scrambles the canary
-# harder without extra global damage.
-DESK = dict(
-    n_lines=2000, sensitive_fraction=0.08, corpus_seed=0,
-    d=64, epochs=20, batch_size=32, eta=0.5,
-    sigma=3.0, clip_bound=0.085,
-    canary_fill="452", canary_count=50, slot_alphabet="123456789", slot_count=3,
-    mi_n=50,
-)
 LOG2_R = math.log2(9 ** 3)
 
 
@@ -72,63 +64,18 @@ def _check(criterion, description, condition):
 @pytest.fixture(scope="session")
 def desk_bundle(tmp_path_factory):
     base = tmp_path_factory.mktemp("desk")
-    data = synth.generate_desk_corpus(
-        n_lines=DESK["n_lines"],
-        sensitive_fraction=DESK["sensitive_fraction"],
-        seed=DESK["corpus_seed"],
-    )
+    data = desk_data()
     paths = synth.write_desk_dataset(data, base / "data")
 
-    aug = AugmentationConfig(
-        synonym_table=default_synonyms(), substitution_rate=0.5, passes=15, seed=11
-    )
-    dataset = build_detector_dataset(data.detector_seeds, data.neutral_sample, aug)
-    detector = train_detector(
-        dataset, epochs=300, eta=2.0, seed=7, char_dim=4096, word_dim=2048, fpr_cap=0.05
-    )
+    detector = train_detector(desk_detector_dataset(data), **DESK_DETECTOR)
     det_path = base / "detector.bin"
     detector.save(det_path)
 
-    # The planted canary is a paraphrase of the canonical secret sentence:
-    # the format regexes miss it while the context-aware detector flags it.
-    variant_prefix = paraphrase(
-        "my bank security code is",
-        AugmentationConfig(synonym_table=default_synonyms(), substitution_rate=1.0, seed=2),
-        0,
-    )
-
-    def config_for(regime: str) -> ExperimentConfig:
-        return ExperimentConfig(
-            {
-                "regime": regime,
-                "corpus": str(paths["corpus"]),
-                "labels": str(paths["labels"]),
-                "lowercase": True, "min_count": 1, "max_seq_len": 64,
-                "train_fraction": 0.8,
-                "canary_prefix": variant_prefix,
-                "canary_slot_alphabet": DESK["slot_alphabet"],
-                "canary_slot_count": DESK["slot_count"],
-                "canary_fill": DESK["canary_fill"],
-                "canary_count": DESK["canary_count"],
-                "d_emb": DESK["d"], "d_hid": DESK["d"],
-                "epochs": DESK["epochs"], "batch_size": DESK["batch_size"],
-                "eta": DESK["eta"],
-                "sigma": DESK["sigma"], "clip_bound": DESK["clip_bound"],
-                "delta": 0.1 if regime == "cadp" else 1e-5,
-                "rdp_alpha": 2.0,
-                "detector": str(det_path) if regime == "cadp" else "",
-                "secret_pattern": data.secret_patterns if regime == "sdpsgd" else [],
-                "synonyms": "", "substitution_rate": 0.5, "phi_seed": 0,
-                "seed_data": 1, "seed_init": 2, "seed_noise": 3,
-                "mi_n": DESK["mi_n"], "mi_members": "sensitive",
-                "out_dir": str(base / regime),
-            }
-        )
-
     runs = {}
     for regime in ("nodp", "sdpsgd", "dpsgd", "cadp"):
+        config = config_for(regime, data, paths, det_path, base)
         t0 = time.monotonic()
-        manifest = train(config_for(regime))
+        manifest = train(config)
         wall = time.monotonic() - t0
         report = run_attacks(base / regime / "manifest.json")
         runs[regime] = {
@@ -136,15 +83,15 @@ def desk_bundle(tmp_path_factory):
             "report": report,
             "wall": wall,
             "dir": base / regime,
-            "config": config_for(regime),
+            "config": config,
         }
     return {
         "base": base,
         "data": data,
         "paths": paths,
         "detector": detector,
-        "aug": aug,
-        "variant_prefix": variant_prefix,
+        "aug": desk_augmentation(),
+        "variant_prefix": canary_prefix(),
         "runs": runs,
     }
 
@@ -446,7 +393,7 @@ def _small_config(data_paths, out_dir, regime, detector_path="", epochs=3):
             "regime": regime,
             "corpus": str(data_paths["corpus"]),
             "labels": str(data_paths["labels"]),
-            "lowercase": True, "min_count": 1, "max_seq_len": 64, "train_fraction": 0.8,
+            "min_count": 1, "max_seq_len": 64, "train_fraction": 0.8,
             "canary_prefix": "my bank security code is",
             "canary_slot_alphabet": "123", "canary_slot_count": 2,
             "canary_fill": "31", "canary_count": 5,
@@ -543,7 +490,7 @@ def test_criterion_10_cli_train_without_blas_variables(small_data, tmp_path, mon
     lines = []
     for key, value in values.items():
         for item in value if isinstance(value, list) else [value]:
-            lines.append(f"{key} = {str(item).lower() if isinstance(item, bool) else item}")
+            lines.append(f"{key} = {item}")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -68,7 +68,7 @@ class TestLoadCorpus:
         ]
         path = tmp_path / "wiki.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        corpus = load_corpus(path, lowercase=True, min_count=1)
+        corpus = load_corpus(path, min_count=1)
         # Independent count: whitespace words per non-dropped line.
         expected_counts = [len(l.split()) for l in lines if len(l.split()) >= 2]
         assert [len(s) for s in corpus.sequences] == expected_counts

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from desk import DESK_DETECTOR, desk_data, desk_detector_dataset
 from oracles import (
     detector_gd_by_loop,
     detector_objective,
@@ -14,7 +15,7 @@ from oracles import (
     scipy_csr,
     select_threshold_by_scan,
 )
-from privlm import lm, privacy, synth
+from privlm import lm, privacy
 from privlm.corpus import TokenSequence, Vocabulary
 from privlm.detector import (
     TEXT_BLOCK,
@@ -281,17 +282,9 @@ class TestCsrProducts:
         assert np.isfinite(got[0]) and got[0].tobytes() == (scipy_csr(X) @ w)[0].tobytes()
 
 
-# The detector config of the acceptance suite's desk bundle.
-DESK_DETECTOR = dict(epochs=300, eta=2.0, seed=7, char_dim=4096, word_dim=2048, fpr_cap=0.05)
-
-
 @pytest.fixture(scope="module")
 def desk_detector():
-    data = synth.generate_desk_corpus(n_lines=2000, sensitive_fraction=0.08, seed=0)
-    aug = AugmentationConfig(
-        synonym_table=default_synonyms(), substitution_rate=0.5, passes=15, seed=11
-    )
-    dataset = build_detector_dataset(data.detector_seeds, data.neutral_sample, aug)
+    dataset = desk_detector_dataset(desk_data())
     train_idx, _ = _fold_indices(dataset.labels, 0.25, DESK_DETECTOR["seed"])
     Xtr = featurize([dataset.texts[i] for i in train_idx], DESK_DETECTOR["char_dim"],
                     DESK_DETECTOR["word_dim"])
@@ -457,6 +450,17 @@ class TestClassify:
         with pytest.raises(DetectorError, match=rf"det\.bin: detector {message}"):
             DetectorModel.load(path)
 
+    @pytest.mark.parametrize(
+        "weight, bias", [(math.nan, 0.0), (0.0, math.inf)], ids=["nan_weight", "inf_bias"]
+    )
+    def test_load_rejects_nonfinite_weights_or_bias(self, tmp_path, weight, bias):
+        path = tmp_path / "det.bin"
+        weights = np.zeros(32)
+        weights[5] = weight
+        dataclasses.replace(constant_detector(True), weights=weights, bias=bias).save(path)
+        with pytest.raises(DetectorError, match=r"det\.bin: detector weights and bias must be finite"):
+            DetectorModel.load(path)
+
 
 class TestEstimateGamma:
     def test_all_detected(self):
@@ -580,6 +584,18 @@ class TestContextAudit:
         cfg = AugmentationConfig(synonym_table={"security": ["safety"]}, substitution_rate=1.0)
         audit = audit_context(params, seq, target_index=5, alpha=1.0, cfg=cfg, vocabulary=vocab)
         assert audit.found
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    def test_paraphrase_without_substitution_is_the_identity_audit(self, context_lm, alpha):
+        params, vocab = context_lm
+        seq = TokenSequence.from_text("Filler3 SECURITY Code is 450", vocab)
+        cfg = AugmentationConfig(synonym_table={"bank": ["lender"]}, substitution_rate=1.0)
+        got = audit_context(params, seq, 5, alpha, cfg, vocabulary=vocab)
+        want = audit_context(params, seq, 5, alpha, identity_augmentation(), vocabulary=vocab)
+        assert got.found == want.found
+        assert got.context_ids == want.context_ids
+        assert (np.array(got.gaps_by_length).tobytes()
+                == np.array(want.gaps_by_length).tobytes())
 
     def test_not_found_is_distinguished(self, context_lm):
         params, vocab = context_lm

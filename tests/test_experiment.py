@@ -79,9 +79,11 @@ def write_train_config(path: Path, data_dir, out_dir, regime="nodp", **overrides
 
 
 class TestConfigParsing:
-    def test_unknown_key_rejected(self, tmp_path):
+    # Text is always lowercased by corpus.tokenize; there is no key to turn it off.
+    @pytest.mark.parametrize("line", ["bogus_key = 1", "lowercase = true"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("regime = nodp\nbogus_key = 1\n", encoding="utf-8")
+        cfg.write_text(f"regime = nodp\n{line}\n", encoding="utf-8")
         with pytest.raises(ExperimentError, match="unknown config key"):
             parse_config_file(cfg, TRAIN_SCHEMA)
 
@@ -466,12 +468,22 @@ class TestRegimeDispatch:
         manifest = train(ExperimentConfig.from_file(cfg))
         assert manifest["status"] == "completed" and manifest["epochs"] == []
 
-    def test_cadp_with_bad_detector_gamma_writes_nothing(self, data_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"measured_gamma": 1.5}, "gamma"),
+            ({"weights": np.r_[np.nan, np.zeros(31)]}, "weights and bias must be finite"),
+            ({"bias": math.inf}, "weights and bias must be finite"),
+        ],
+        ids=["gamma", "nan_weight", "inf_bias"],
+    )
+    def test_cadp_with_bad_detector_file_writes_nothing(self, data_dir, tmp_path, fields,
+                                                         message):
         det = tmp_path / "det.bin"
-        dataclasses.replace(constant_detector(True), measured_gamma=1.5).save(det)
+        dataclasses.replace(constant_detector(True), **fields).save(det)
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run",
                                  regime="cadp", epochs=1, detector=det)
-        with pytest.raises(DetectorError, match="gamma"):
+        with pytest.raises(DetectorError, match=message):
             train(ExperimentConfig.from_file(cfg))
         assert not (tmp_path / "run").exists()
 
