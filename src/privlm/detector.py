@@ -74,7 +74,8 @@ def load_synonyms(path: str | Path) -> dict[str, list[str]]:
         syns = [s.strip().lower() for s in rest.split(",") if s.strip()]
         if not word or not syns:
             raise DetectorError(f"malformed synonym line: {raw!r}")
-        if any(" " in s for s in syns):
+        # ``paraphrase`` looks words up one at a time, so a multi-word entry never matches.
+        if any(len(w.split()) > 1 for w in (word, *syns)):
             raise DetectorError(f"synonyms must be single words: {raw!r}")
         table[word] = syns
     return table
@@ -361,7 +362,7 @@ class DetectorModel:
         nl = raw.find(b"\n")
         if nl < 0:
             raise DetectorError(f"{path}: missing detector header")
-        fields = raw[:nl].decode("ascii").split()
+        fields = raw[:nl].decode("ascii").split() if raw[:nl].isascii() else []
         if not fields or fields[0] != DETECTOR_MAGIC:
             raise DetectorError(f"{path}: not a detector checkpoint")
         # A field without '=' reads as an empty value; unknown fields are ignored.
@@ -380,9 +381,9 @@ class DetectorModel:
             raise DetectorError(f"{path}: detector gamma must be in [0, 1], got {kv['gamma']}")
         if not np.isfinite(kv["threshold"]):
             raise DetectorError(f"{path}: detector threshold must be finite, got {kv['threshold']}")
-        vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
-        if vec.size != kv["char_dim"] + kv["word_dim"] + 1:
+        if len(raw) - nl - 1 != 8 * (kv["char_dim"] + kv["word_dim"] + 1):
             raise DetectorError(f"{path}: weight vector has wrong size")
+        vec = np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64)
         if not np.isfinite(vec).all():
             raise DetectorError(f"{path}: detector weights and bias must be finite")
         return cls(

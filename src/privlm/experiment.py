@@ -41,9 +41,9 @@ Each epoch builds one ``lm.Workspace`` for ``batch_size`` and the longest
 training line, so every step of the epoch fits its buffers and none stays
 resident into the next epoch.
 
-Config files are flat ``key = value`` text of strings, integers and floats;
-unknown keys are rejected. See the schemas below for every key and its
-default. No key changes the word rule, ``corpus.tokenize``.
+Config files are flat ``key = value`` text. A file, a dict and a manifest's
+``"config"`` all go through ``resolve_config``: the schemas below give each key's
+kind, default and valid range. No key changes the word rule, ``corpus.tokenize``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import itertools
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -100,43 +100,51 @@ class ConfigKey:
     kind: str  # str | int | float
     default: str | None  # None means required
     help: str
+    # Valid values: ">= b", "> b", "in (lo, hi)" ("[" or "]" for a closed end) or quoted
+    # choices; "" allows any value of the kind.
+    rule: str = ""
     repeatable: bool = False
 
 
 TRAIN_SCHEMA: dict[str, ConfigKey] = {
-    "regime": ConfigKey("str", None, "one of nodp, dpsgd, sdpsgd, cadp"),
+    "regime": ConfigKey("str", None, "one of nodp, dpsgd, sdpsgd, cadp", f"one of {REGIMES}"),
     "corpus": ConfigKey("str", None, "path to the training text, one sequence per line"),
     "labels": ConfigKey("str", "", "optional path to a 0/1 sensitivity label per corpus line"),
     "min_count": ConfigKey("int", "1", "tokens rarer than this map to the unknown token"),
-    "max_seq_len": ConfigKey("int", "64", "sequences are truncated to this many tokens"),
-    "train_fraction": ConfigKey("float", "0.8", "train share of the corpus split"),
+    "max_seq_len": ConfigKey("int", "64", "sequences are truncated to this many tokens", ">= 2"),
+    "train_fraction": ConfigKey("float", "0.8", "train share of the corpus split", "in (0, 1)"),
     "canary_prefix": ConfigKey("str", "", "canary sentence prefix; empty disables planting"),
     "canary_slot_alphabet": ConfigKey("str", "123456789", "characters the canary slot draws from"),
     "canary_slot_count": ConfigKey("int", "3", "number of slot characters"),
     "canary_fill": ConfigKey("str", "", "the planted slot value"),
-    "canary_count": ConfigKey("int", "0", "how many copies of the canary to plant"),
-    "d_emb": ConfigKey("int", "64", "embedding dimension"),
-    "d_hid": ConfigKey("int", "64", "LSTM hidden dimension"),
-    "epochs": ConfigKey("int", "20", "training epochs"),
-    "batch_size": ConfigKey("int", "32", "minibatch size"),
-    "eta": ConfigKey("float", "0.1", "learning rate"),
-    "sigma": ConfigKey("float", "1.0", "noise multiplier for private steps"),
-    "clip_bound": ConfigKey("float", "1.0", "per-example gradient clipping bound"),
-    "delta": ConfigKey("float", "1e-5", "DP failure probability (must exceed 1 - gamma)"),
-    "rdp_alpha": ConfigKey("float", "2.0", "Renyi order used by the accountant"),
+    "canary_count": ConfigKey("int", "0", "how many copies of the canary to plant", ">= 0"),
+    "d_emb": ConfigKey("int", "64", "embedding dimension", ">= 1"),
+    "d_hid": ConfigKey("int", "64", "LSTM hidden dimension", ">= 1"),
+    "epochs": ConfigKey("int", "20", "training epochs", ">= 0"),
+    "batch_size": ConfigKey("int", "32", "minibatch size", ">= 1"),
+    "eta": ConfigKey("float", "0.1", "learning rate", "> 0"),
+    "sigma": ConfigKey("float", "1.0", "noise multiplier for private steps", "> 0"),
+    "clip_bound": ConfigKey("float", "1.0", "per-example gradient clipping bound", "> 0"),
+    "delta": ConfigKey(
+        "float", "1e-5", "DP failure probability (must exceed 1 - gamma)", "in (0, 1)"
+    ),
+    "rdp_alpha": ConfigKey("float", "2.0", "Renyi order used by the accountant", "> 1"),
     "detector": ConfigKey("str", "", "detector checkpoint path (required for cadp)"),
     "secret_pattern": ConfigKey(
         "str", "", "regex marking secret-format sequences (sdpsgd; repeatable)", repeatable=True
     ),
     "synonyms": ConfigKey("str", "", "synonym table path for context audits (empty = identity)"),
-    "substitution_rate": ConfigKey("float", "0.5", "paraphrase substitution rate for audits"),
+    "substitution_rate": ConfigKey(
+        "float", "0.5", "paraphrase substitution rate for audits", "in [0, 1]"
+    ),
     "phi_seed": ConfigKey("int", "0", "seed of the audit paraphraser"),
-    "seed_data": ConfigKey("int", "1", "seed for splits and batch shuffles"),
-    "seed_init": ConfigKey("int", "2", "seed for parameter initialization"),
-    "seed_noise": ConfigKey("int", "3", "seed of the private-step noise stream"),
-    "mi_n": ConfigKey("int", "50", "members/non-members per side of the MI attack"),
+    "seed_data": ConfigKey("int", "1", "seed for splits and batch shuffles", ">= 0"),
+    "seed_init": ConfigKey("int", "2", "seed for parameter initialization", ">= 0"),
+    "seed_noise": ConfigKey("int", "3", "seed of the private-step noise stream", ">= 0"),
+    "mi_n": ConfigKey("int", "50", "members/non-members per side of the MI attack", ">= 1"),
     "mi_members": ConfigKey(
-        "str", "sensitive", "MI member pool: 'sensitive' (labeled lines) or 'all'"
+        "str", "sensitive", "MI member pool: 'sensitive' (labeled lines) or 'all'",
+        "'sensitive' or 'all'",
     ),
     "out_dir": ConfigKey("str", None, "run output directory"),
 }
@@ -158,11 +166,57 @@ DETECTOR_SCHEMA: dict[str, ConfigKey] = {
     "out": ConfigKey("str", None, "detector checkpoint output path"),
 }
 
+def _meets(value, rule: str) -> bool:
+    """Whether ``value`` meets a ``ConfigKey.rule``; nan fails every numeric rule."""
+    if "'" in rule:
+        return value in re.findall(r"'([^']*)'", rule)
+    op, bound = rule.split(" ", 1)
+    if op != "in":
+        return value >= float(bound) if op == ">=" else value > float(bound)
+    lo, hi = (float(b) for b in bound[1:-1].split(","))
+    above_lo = lo <= value if bound[0] == "[" else lo < value
+    return above_lo and (value <= hi if bound[-1] == "]" else value < hi)
+
+
+def _typed(value, key: str, spec: ConfigKey, where: str):
+    """``value`` as the key's kind: a file's string is parsed, a typed value checked."""
+    kind = {"str": str, "int": int, "float": float}[spec.kind]
+    accepted = (int, float) if kind is float else kind  # an int is a valid float value
+    with contextlib.suppress(ValueError):
+        if isinstance(value, str) or (isinstance(value, accepted) and not isinstance(value, bool)):
+            return kind(value)
+    raise ExperimentError(f"{where}bad {spec.kind} value for {key!r}: {value!r}")
+
+
+def resolve_config(
+    values: dict, schema: dict[str, ConfigKey], source: str | Path = "", defaults: bool = True
+) -> dict:
+    """Every schema key's value, typed and checked against its rule, from a file's strings or
+    typed values. Unknown keys, missing ones without a default (any, if not ``defaults``) and
+    bad values are rejected with ``source`` prefixed; a broken rule's error is not prefixed.
+    """
+    where = f"{source}: " if source else ""
+    for key in values:
+        if key not in schema:
+            raise ExperimentError(f"{where}unknown config key {key!r}")
+    out: dict[str, object] = {}
+    for key, spec in schema.items():
+        value = values.get(key)
+        if value is None:
+            if spec.default is None or not defaults:
+                raise ExperimentError(f"{where}missing required config key {key!r}")
+            value = ([spec.default] if spec.default else []) if spec.repeatable else spec.default
+        items = value if spec.repeatable and isinstance(value, (list, tuple)) else [value]
+        typed = [_typed(item, key, spec, where) for item in items]
+        out[key] = typed if spec.repeatable else typed[0]
+        if spec.rule and not _meets(out[key], spec.rule):
+            raise ExperimentError(f"{key} must be {spec.rule}, got {out[key]!r}")
+    return out
+
+
 def parse_config_file(path: str | Path, schema: dict[str, ConfigKey]) -> dict:
-    """Parse flat key=value text against a schema; unknown keys are rejected."""
-    values: dict[str, object] = {
-        k: [] if spec.repeatable else None for k, spec in schema.items()
-    }
+    """Read flat key=value text and resolve it against a schema (see ``resolve_config``)."""
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -173,74 +227,29 @@ def parse_config_file(path: str | Path, schema: dict[str, ConfigKey]) -> dict:
         key, value = key.strip(), value.strip()
         if key not in schema:
             raise ExperimentError(f"{path}:{lineno}: unknown config key {key!r}")
-        spec = schema[key]
-        if spec.repeatable:
-            values[key].append(value)
-        elif values[key] is not None:
+        if schema[key].repeatable:
+            values.setdefault(key, []).append(value)
+        elif key in values:
             raise ExperimentError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
             values[key] = value
-
-    out: dict[str, object] = {}
-    for key, spec in schema.items():
-        if spec.repeatable:
-            raw_vals = values[key] or ([spec.default] if spec.default else [])
-            out[key] = raw_vals
-            continue
-        raw_val = values[key]
-        if raw_val is None:
-            if spec.default is None:
-                raise ExperimentError(f"{path}: missing required config key {key!r}")
-            raw_val = spec.default
-        try:
-            if spec.kind == "int":
-                out[key] = int(raw_val)
-            elif spec.kind == "float":
-                out[key] = float(raw_val)
-            else:
-                out[key] = raw_val
-        except ValueError as exc:
-            raise ExperimentError(f"{path}: bad {spec.kind} value for {key!r}: {raw_val!r}") from exc
-    return out
+    return resolve_config(values, schema, path)
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved training configuration; see TRAIN_SCHEMA for key meanings."""
+    """Training configuration resolved by ``resolve_config`` against TRAIN_SCHEMA."""
 
     values: dict
+    canary_template: CanaryTemplate | None = field(default=None, init=False)  # None: no canary
 
     def __post_init__(self):
-        v = self.values
-        if v["regime"] not in REGIMES:
-            raise ExperimentError(f"regime must be one of {REGIMES}, got {v['regime']!r}")
+        # Checked here, before ``train`` creates the run directory.
+        self.values = v = resolve_config(self.values, TRAIN_SCHEMA)
         if v["regime"] == "cadp" and not v["detector"]:
             raise ExperimentError("cadp requires a 'detector' checkpoint path")
         if v["regime"] == "sdpsgd" and not [p for p in v["secret_pattern"] if p]:
             raise ExperimentError("sdpsgd requires at least one 'secret_pattern'")
-        # Checked here, before ``train`` creates the run directory (nan fails every rule).
-        ranges = {
-            "batch_size": (v["batch_size"] >= 1, ">= 1"),
-            "epochs": (v["epochs"] >= 0, ">= 0"),
-            "eta": (v["eta"] > 0, "> 0"),
-            "sigma": (v["sigma"] > 0, "> 0"),
-            "clip_bound": (v["clip_bound"] > 0, "> 0"),
-            "delta": (0 < v["delta"] < 1, "in (0, 1)"),
-            "rdp_alpha": (v["rdp_alpha"] > 1, "> 1"),
-            "d_emb": (v["d_emb"] >= 1, ">= 1"),
-            "d_hid": (v["d_hid"] >= 1, ">= 1"),
-            "train_fraction": (0 < v["train_fraction"] < 1, "in (0, 1)"),
-            "max_seq_len": (v["max_seq_len"] >= 2, ">= 2"),
-            "canary_count": (v["canary_count"] >= 0, ">= 0"),
-            "mi_n": (v["mi_n"] >= 1, ">= 1"),
-            "substitution_rate": (0 <= v["substitution_rate"] <= 1, "in [0, 1]"),
-            "seed_data": (v["seed_data"] >= 0, ">= 0"),
-            "seed_init": (v["seed_init"] >= 0, ">= 0"),
-            "seed_noise": (v["seed_noise"] >= 0, ">= 0"),
-        }
-        for key, (ok, rule) in ranges.items():
-            if not ok:
-                raise ExperimentError(f"{key} must be {rule}, got {v[key]}")
         for pattern in v["secret_pattern"]:
             try:
                 re.compile(pattern)
@@ -248,17 +257,19 @@ class ExperimentConfig:
                 raise ExperimentError(
                     f"secret_pattern must be a valid regex, got {pattern!r}: {exc}"
                 ) from exc
-        if v["mi_members"] not in ("sensitive", "all"):
-            raise ExperimentError(f"mi_members must be 'sensitive' or 'all', got {v['mi_members']!r}")
         if v["canary_prefix"] and not v["canary_fill"]:
             raise ExperimentError("canary planting requires 'canary_fill'")
         if not v["canary_prefix"] and (v["canary_fill"] or v["canary_count"]):
             raise ExperimentError("canary_fill and canary_count need a 'canary_prefix'")
         if v["canary_prefix"]:
+            # Prefix gets a trailing space, unless it has one, so the fill lands as its own token.
+            prefix = v["canary_prefix"].removesuffix(" ") + " "
             try:
-                canary_sentence(_template_from_config(self), v["canary_fill"], v["max_seq_len"])
+                template = CanaryTemplate(prefix, v["canary_slot_alphabet"], v["canary_slot_count"])
+                canary_sentence(template, v["canary_fill"], v["max_seq_len"])
             except CorpusError as exc:
                 raise ExperimentError(f"invalid canary settings: {exc}") from exc
+            self.canary_template = template
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -348,30 +359,14 @@ def prepare_data(config: ExperimentConfig) -> tuple[Corpus, Corpus, list[int], i
     train, test = split_corpus(corpus, config["train_fraction"], config["seed_data"])
     positions: list[int] = []
     planted_idx = None
-    if config["canary_prefix"]:
-        template = _template_from_config(config)
+    template = config.canary_template
+    if template is not None:
         train, positions = plant_canary(
-            train,
-            template,
-            config["canary_fill"],
-            config["canary_count"],
-            seed=derived_seed(config["seed_data"], "plant"),
-            max_len=config["max_seq_len"],
+            train, template, config["canary_fill"], config["canary_count"],
+            seed=derived_seed(config["seed_data"], "plant"), max_len=config["max_seq_len"],
         )
         planted_idx = template.fill_index(config["canary_fill"])
     return train, test, positions, planted_idx
-
-
-def _template_from_config(config: ExperimentConfig) -> CanaryTemplate:
-    # Prefix gets a trailing space so the fill lands as its own token.
-    prefix = config["canary_prefix"]
-    if not prefix.endswith(" "):
-        prefix += " "
-    return CanaryTemplate(
-        prefix=prefix,
-        slot_alphabet=config["canary_slot_alphabet"],
-        slot_count=config["canary_slot_count"],
-    )
 
 
 @_one_blas_thread()
@@ -393,14 +388,9 @@ def train(config: ExperimentConfig) -> dict:
     train_corpus, test_corpus, positions, planted_idx = prepare_data(config)
     vocab = train_corpus.vocabulary
     vocab.save(out_dir / "vocab.txt")
-    if config["canary_prefix"]:
-        write_canary_manifest(
-            out_dir / "canaries.txt",
-            _template_from_config(config),
-            config["canary_fill"],
-            config["canary_count"],
-            positions,
-        )
+    if config.canary_template is not None:
+        write_canary_manifest(out_dir / "canaries.txt", config.canary_template,
+                              config["canary_fill"], config["canary_count"], positions)
 
     flags, gamma = _partition(config, train_corpus, det)
     sensitive_count = sum(1 for s in train_corpus.sequences if flags[s.source_text])
@@ -525,11 +515,15 @@ def _load_checkpoint(
     """(manifest, config, epoch entry, vocabulary, parameters) of one checkpoint.
 
     ``epoch`` None picks the last completed epoch; a run with none raises
-    ``ExperimentError(no_epochs_error)``.
+    ``ExperimentError(no_epochs_error)``. A config that does not resolve with every
+    key given raises an ``ExperimentError`` naming the manifest.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    config = ExperimentConfig(dict(manifest["config"]))
+    try:
+        config = ExperimentConfig(resolve_config(manifest["config"], TRAIN_SCHEMA, defaults=False))
+    except ExperimentError as exc:
+        raise ExperimentError(f"{manifest_path}: {exc}") from None
     if not manifest["epochs"]:
         raise ExperimentError(no_epochs_error)
     by_epoch = {e["epoch"]: e for e in manifest["epochs"]}
@@ -567,6 +561,9 @@ def run_attacks(
             "mi_members = sensitive draws MI members from labelled lines, but the run has "
             "no labels file; set labels or use mi_members = all"
         )
+    template = config.canary_template
+    if template is None:
+        raise ExperimentError("attacks need a planted canary; the run's config has no canary_prefix")
     train_corpus, test_corpus, _, planted_index = prepare_data(config)
     # The MI pools are encoded under the rebuilt vocabulary, the checkpoint under vocab.txt.
     if vocab.tokens != train_corpus.vocabulary.tokens:
@@ -579,9 +576,6 @@ def run_attacks(
             f"the corpus no longer rebuilds the run's vocabulary: id {tid} is {was!r} in "
             f"vocab.txt but {now!r} from the corpus"
         )
-    if planted_index is None:
-        raise ExperimentError("attacks need a planted canary; the run's config has no canary_prefix")
-    template = _template_from_config(config)
     candidates = enumerate_canaries(template, vocab)
     ppls = attacks_mod.candidate_perplexities(params, candidates)
     rank = attacks_mod.rank_from_perplexities(ppls, planted_index)
@@ -624,14 +618,12 @@ def audit_manifest_context(
     _, config, _, vocab, params = _load_checkpoint(
         manifest_path, None, "run has no completed epochs"
     )
-    if config["synonyms"]:
-        cfg = detector_mod.AugmentationConfig(
-            synonym_table=detector_mod.load_synonyms(config["synonyms"]),
-            substitution_rate=config["substitution_rate"],
-            seed=config["phi_seed"],
-        )
-    else:
-        cfg = detector_mod.identity_augmentation()
+    # An empty synonym table leaves every sentence as it is: the identity audit.
+    cfg = detector_mod.AugmentationConfig(
+        detector_mod.load_synonyms(config["synonyms"]) if config["synonyms"] else {},
+        config["substitution_rate"],
+        seed=config["phi_seed"],
+    )
     seq = TokenSequence.from_text(sentence, vocab, max_len=config["max_seq_len"])
     return detector_mod.audit_context(params, seq, index, alpha, cfg, vocabulary=vocab)
 
@@ -660,16 +652,8 @@ def train_detector_from_config(path: str | Path) -> tuple[detector_mod.DetectorM
         seed=cfgv["phi_seed"],
     )
     dataset = detector_mod.build_detector_dataset(seeds, negatives, aug)
-    model = detector_mod.train_detector(
-        dataset,
-        epochs=cfgv["epochs"],
-        eta=cfgv["eta"],
-        seed=cfgv["seed"],
-        char_dim=cfgv["char_dim"],
-        word_dim=cfgv["word_dim"],
-        fpr_cap=cfgv["fpr_cap"],
-        val_fraction=cfgv["val_fraction"],
-    )
+    solver_keys = ("epochs", "eta", "seed", "char_dim", "word_dim", "fpr_cap", "val_fraction")
+    model = detector_mod.train_detector(dataset, **{k: cfgv[k] for k in solver_keys})
     out = Path(cfgv["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)

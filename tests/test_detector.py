@@ -115,6 +115,13 @@ class TestParaphrase:
         with pytest.raises(DetectorError, match="single"):
             load_synonyms(bad)
 
+    def test_multi_word_head_rejected(self, tmp_path):
+        # paraphrase looks words up one at a time, so "bank code" could never match.
+        bad = tmp_path / "bad.txt"
+        bad.write_text("bank code: vault\n", encoding="utf-8")
+        with pytest.raises(DetectorError, match="single"):
+            load_synonyms(bad)
+
 
 # 1-, 2-, 3- and 4-byte UTF-8, whitespace of several kinds, and U+0130 (whose
 # lowercase is two characters) and capital sigma (whose lowercase depends on
@@ -459,6 +466,21 @@ class TestClassify:
         weights[5] = weight
         dataclasses.replace(constant_detector(True), weights=weights, bias=bias).save(path)
         with pytest.raises(DetectorError, match=r"det\.bin: detector weights and bias must be finite"):
+            DetectorModel.load(path)
+
+    @pytest.mark.parametrize("extra", [1, 7, 8], ids=["1_byte", "7_bytes", "one_weight"])
+    def test_load_rejects_a_body_of_the_wrong_length(self, tmp_path, extra):
+        path = tmp_path / "det.bin"
+        constant_detector(True).save(path)
+        path.write_bytes(path.read_bytes() + b"\0" * extra)
+        with pytest.raises(DetectorError, match=r"det\.bin: weight vector has wrong size"):
+            DetectorModel.load(path)
+
+    def test_load_rejects_a_non_ascii_header(self, tmp_path):
+        path = tmp_path / "det.bin"
+        constant_detector(True).save(path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(DetectorError, match=r"det\.bin: not a detector checkpoint"):
             DetectorModel.load(path)
 
 

@@ -314,6 +314,80 @@ class TestTrainRun:
         assert (out_a / "canaries.txt").read_bytes() == (out_b / "canaries.txt").read_bytes()
 
 
+class TestManifestConfig:
+    """A dict and a manifest's config are resolved like a config file."""
+
+    def _copy_with_config(self, nodp_run, tmp_path, edit):
+        run_dir, _ = nodp_run
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy, ignore=shutil.ignore_patterns("attacks.csv"))
+        manifest = load_manifest(copy / "manifest.json")
+        edit(manifest["config"])
+        (copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        return copy / "manifest.json"
+
+    def test_file_built_config_round_trips_through_the_manifest(self, nodp_run):
+        run_dir, manifest = nodp_run
+        config = ExperimentConfig(load_manifest(run_dir / "manifest.json")["config"])
+        assert config.run_id() == manifest["run_id"]
+
+    @pytest.mark.parametrize("verb", ["attack", "audit-context"])
+    def test_manifest_config_missing_a_key_is_an_error(self, nodp_run, tmp_path, capsys, verb):
+        path = self._copy_with_config(nodp_run, tmp_path, lambda c: c.pop("mi_n"))
+        extra = ["--sentence", "my bank security code is 31", "--index", "6", "--alpha", "1"]
+        argv = [verb, "--manifest", str(path)] + (extra if verb == "audit-context" else [])
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: missing required config key 'mi_n'")
+        assert not (path.parent / "attacks.csv").exists()
+
+    def test_manifest_config_with_an_unknown_key_is_rejected(self, nodp_run, tmp_path):
+        path = self._copy_with_config(nodp_run, tmp_path, lambda c: c.update(lowercase=True))
+        with pytest.raises(ExperimentError, match="manifest.json: unknown config key 'lowercase'"):
+            run_attacks(path)
+
+    def test_manifest_config_out_of_range_is_rejected(self, nodp_run, tmp_path):
+        path = self._copy_with_config(nodp_run, tmp_path, lambda c: c.update(mi_n=0))
+        with pytest.raises(ExperimentError, match="manifest.json: mi_n must be >= 1, got 0"):
+            run_attacks(path)
+
+    def test_dict_takes_defaults_and_needs_required_keys(self, nodp_run):
+        values = load_manifest(nodp_run[0] / "manifest.json")["config"]
+        del values["mi_n"], values["canary_slot_alphabet"]
+        config = ExperimentConfig(dict(values))
+        assert config["mi_n"] == 50
+        assert config["canary_slot_alphabet"] == "123456789"
+        del values["corpus"]
+        with pytest.raises(ExperimentError, match="^missing required config key 'corpus'"):
+            ExperimentConfig(values)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("epochs", "3", 3), ("eta", "0.25", 0.25), ("eta", 1, 1.0), ("secret_pattern", "pin", ["pin"]),
+    ])
+    def test_dict_values_are_typed_like_file_values(self, nodp_run, key, value, expected):
+        values = load_manifest(nodp_run[0] / "manifest.json")["config"]
+        resolved = ExperimentConfig(dict(values, **{key: value}))[key]
+        assert resolved == expected and type(resolved) is type(expected)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.0), ("epochs", True), ("eta", "fast"), ("regime", 3), ("secret_pattern", [1]),
+    ])
+    def test_dict_value_of_the_wrong_kind_rejected(self, nodp_run, key, value):
+        values = load_manifest(nodp_run[0] / "manifest.json")["config"]
+        with pytest.raises(ExperimentError, match=f"^bad (int|float|str) value for '{key}'"):
+            ExperimentConfig(dict(values, **{key: value}))
+
+    def test_canary_template_built_once_from_the_config(self, nodp_run):
+        config = ExperimentConfig(load_manifest(nodp_run[0] / "manifest.json")["config"])
+        assert config.canary_template.prefix == "my bank security code is "
+        assert config.canary_template.slot_alphabet == "123"
+        assert config.canary_template.slot_count == 2
+        spaced = ExperimentConfig(dict(config.values, canary_prefix="my code is "))
+        assert spaced.canary_template.prefix == "my code is "
+        bare = dict(config.values, canary_prefix="", canary_fill="", canary_count=0)
+        assert ExperimentConfig(bare).canary_template is None
+
+
 class TestBlasThreads:
     """The verbs run BLAS on one thread and restore the caller's count, errors included."""
 
