@@ -206,7 +206,7 @@ def resolve_config(
             if spec.default is None or not defaults:
                 raise ExperimentError(f"{where}missing required config key {key!r}")
             value = ([spec.default] if spec.default else []) if spec.repeatable else spec.default
-        items = value if spec.repeatable and isinstance(value, (list, tuple)) else [value]
+        items = value if spec.repeatable and isinstance(value, list) else [value]
         typed = [_typed(item, key, spec, where) for item in items]
         out[key] = typed if spec.repeatable else typed[0]
         if spec.rule and not _meets(out[key], spec.rule):
