@@ -35,11 +35,7 @@ class AttackError(ValueError):
 
 @dataclass
 class AttackReport:
-    """Attack outcomes for one trained checkpoint.
-
-    Serialized as one CSV row: run_id, regime, epoch, valid_perplexity,
-    canary_rank, exposure, mi_accuracy.
-    """
+    """Attack outcomes for one trained checkpoint: one row of a run's ``attacks.csv``."""
 
     run_id: str
     regime: str
@@ -57,6 +53,35 @@ class AttackReport:
             f"{self.run_id},{self.regime},{self.epoch},{float(self.valid_perplexity)!r},"
             f"{self.canary_rank},{float(self.exposure)!r},{float(self.mi_accuracy)!r}"
         )
+
+    def append_to(self, csv_path: str | Path) -> None:
+        """Append the row to ``csv_path``, after ``CSV_HEADER`` when the file is new."""
+        csv_path = Path(csv_path)
+        header = "" if csv_path.exists() else self.CSV_HEADER + "\n"
+        with csv_path.open("a", encoding="utf-8") as fh:
+            fh.write(header + self.csv_row() + "\n")
+
+
+def read_attack_rows(csv_path: str | Path) -> list[dict[str, str]]:
+    """The rows of an ``attacks.csv`` as strings keyed by column; [] when there is no file.
+
+    A first line other than ``AttackReport.CSV_HEADER`` raises ``AttackError``
+    naming the file, and a row of another field count one naming the line.
+    """
+    csv_path = Path(csv_path)
+    if not csv_path.exists():
+        return []
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    if lines[:1] != [AttackReport.CSV_HEADER]:
+        raise AttackError(f"{csv_path}: first line is not {AttackReport.CSV_HEADER!r}")
+    columns = AttackReport.CSV_HEADER.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, fields in enumerate(rows, 2):
+        if len(fields) != len(columns):
+            raise AttackError(
+                f"{csv_path}:{lineno}: expected {len(columns)} fields, got {len(fields)}"
+            )
+    return [dict(zip(columns, fields)) for fields in rows]
 
 
 def candidate_perplexities(params: LMParameters, candidates: CanaryCandidates) -> np.ndarray:

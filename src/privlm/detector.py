@@ -644,7 +644,7 @@ def audit_context(
     """
     if not (1 <= target_index <= len(seq)):
         raise DetectorError(f"target_index {target_index} out of range for length {len(seq)}")
-    if alpha < 0:
+    if not alpha >= 0:  # nan too
         raise DetectorError("alpha must be >= 0")
 
     prefix_ids = list(seq.ids[: target_index - 1])

@@ -278,11 +278,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         return cls(parse_config_file(path, TRAIN_SCHEMA))
 
-    def resolved(self) -> dict:
-        return {k: self.values[k] for k in sorted(self.values)}
-
     def run_id(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True)
+        canonical = json.dumps(self.values, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -381,11 +378,10 @@ def train(config: ExperimentConfig) -> dict:
     det = None
     if config["regime"] == "cadp":
         det = detector_mod.DetectorModel.load(config["detector"])
+    train_corpus, test_corpus, positions, planted_idx = prepare_data(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "checkpoints").mkdir(exist_ok=True)
-
-    train_corpus, test_corpus, positions, planted_idx = prepare_data(config)
     vocab = train_corpus.vocabulary
     vocab.save(out_dir / "vocab.txt")
     if config.canary_template is not None:
@@ -403,7 +399,7 @@ def train(config: ExperimentConfig) -> dict:
     manifest: dict = {
         "run_id": config.run_id(),
         "regime": config["regime"],
-        "config": config.resolved(),
+        "config": config.values,
         "vocab_size": vocab.size,
         "n_train": len(train_corpus),
         "n_test": len(test_corpus),
@@ -502,7 +498,29 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 
 
 def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A run's ``manifest.json``, the one reader of what ``_write_manifest`` writes.
+
+    A file that is not a JSON object, or whose keys that readers use are missing or of
+    another kind, raises ``ExperimentError("<path>: ...")`` naming the key.
+    """
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{path}: not JSON: {exc}") from None
+    names = {str: "a string", dict: "an object", list: "a list", int: "an int"}  # else a number
+
+    def check(obj, where: str, **kinds) -> None:
+        if not isinstance(obj, dict):
+            raise ExperimentError(f"{path}: {where} must be a JSON object")
+        for key, kind in kinds.items():
+            if isinstance(obj.get(key), bool) or not isinstance(obj.get(key), kind):
+                name = names.get(kind, "a number")
+                raise ExperimentError(f"{path}: {where} {key!r} must be {name}")
+
+    check(manifest, "manifest", run_id=str, regime=str, config=dict, epochs=list)
+    for i, entry in enumerate(manifest["epochs"]):
+        check(entry, f"epochs[{i}]", epoch=int, valid_perplexity=(int, float), checkpoint=str)
+    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -510,13 +528,12 @@ def load_manifest(path: str | Path) -> dict:
 # --------------------------------------------------------------------------
 
 def _load_checkpoint(
-    manifest_path: str | Path, epoch: int | None, no_epochs_error: str
+    manifest_path: str | Path, epoch: int | None
 ) -> tuple[dict, ExperimentConfig, dict, Vocabulary, lm.LMParameters]:
     """(manifest, config, epoch entry, vocabulary, parameters) of one checkpoint.
 
-    ``epoch`` None picks the last completed epoch; a run with none raises
-    ``ExperimentError(no_epochs_error)``. A config that does not resolve with every
-    key given raises an ``ExperimentError`` naming the manifest.
+    ``epoch`` None picks the last completed epoch. A run with none, or a config that
+    does not resolve with every key given, raises an ``ExperimentError`` naming the manifest.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
@@ -525,7 +542,7 @@ def _load_checkpoint(
     except ExperimentError as exc:
         raise ExperimentError(f"{manifest_path}: {exc}") from None
     if not manifest["epochs"]:
-        raise ExperimentError(no_epochs_error)
+        raise ExperimentError(f"{manifest_path}: run has no completed epochs")
     by_epoch = {e["epoch"]: e for e in manifest["epochs"]}
     if epoch is None:
         epoch = max(by_epoch)
@@ -553,9 +570,7 @@ def run_attacks(
     therefore needs a ``labels`` file, or every training line for
     ``mi_members = all``.
     """
-    manifest, config, entry, vocab, params = _load_checkpoint(
-        manifest_path, checkpoint_epoch, "run has no completed epochs to attack"
-    )
+    manifest, config, entry, vocab, params = _load_checkpoint(manifest_path, checkpoint_epoch)
     if config["mi_members"] == "sensitive" and not config["labels"]:
         raise ExperimentError(
             "mi_members = sensitive draws MI members from labelled lines, but the run has "
@@ -602,11 +617,7 @@ def run_attacks(
         candidate_space_size=template.candidate_space_size,
         mi_accuracy=mi_acc,
     )
-    csv_path = Path(manifest_path).parent / "attacks.csv"
-    if not csv_path.exists():
-        csv_path.write_text(attacks_mod.AttackReport.CSV_HEADER + "\n", encoding="utf-8")
-    with csv_path.open("a", encoding="utf-8") as fh:
-        fh.write(report.csv_row() + "\n")
+    report.append_to(Path(manifest_path).parent / "attacks.csv")
     return report
 
 
@@ -615,9 +626,7 @@ def audit_manifest_context(
     manifest_path: str | Path, sentence: str, index: int, alpha: float
 ) -> detector_mod.ContextAudit:
     """Run the minimal-context audit against a run's final checkpoint."""
-    _, config, _, vocab, params = _load_checkpoint(
-        manifest_path, None, "run has no completed epochs"
-    )
+    _, config, _, vocab, params = _load_checkpoint(manifest_path, None)
     # An empty synonym table leaves every sentence as it is: the identity audit.
     cfg = detector_mod.AugmentationConfig(
         detector_mod.load_synonyms(config["synonyms"]) if config["synonyms"] else {},

@@ -7,11 +7,11 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
-from .attacks import AttackReport
+from .attacks import AttackReport, read_attack_rows
+from .experiment import load_manifest
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -145,33 +145,21 @@ def svg_line_plot(
     return "\n".join(out) + "\n"
 
 
-def _read_attack_rows(manifest_path: Path) -> list[dict]:
-    csv_path = manifest_path.parent / "attacks.csv"
-    if not csv_path.exists():
-        return []
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:] if line.strip()]
-
-
 def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[Path]:
     """Aggregate manifests into CSVs and SVG plots; returns written paths.
 
     Emits ``learning_curves.csv`` (epoch vs validation perplexity per run),
     ``attack_tradeoff.csv`` (perplexity vs exposure and membership-inference
     accuracy per attacked checkpoint), and three SVG plots over the same
-    axes.
+    axes. Every manifest and ``attacks.csv`` is read, and every output made,
+    before ``out_dir`` is created, so a bad input leaves no directory behind.
     """
     if not manifest_paths:
         raise ReportError("need at least one manifest")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    runs = []
-    for mp in manifest_paths:
-        mp = Path(mp)
-        manifest = json.loads(mp.read_text(encoding="utf-8"))
-        runs.append((manifest, _read_attack_rows(mp)))
+    runs = [
+        (load_manifest(mp), read_attack_rows(Path(mp).parent / "attacks.csv"))
+        for mp in manifest_paths
+    ]
     runs.sort(key=lambda r: (r[0]["regime"], r[0]["run_id"]))
 
     curve_lines = ["run_id,regime,epoch,valid_perplexity"]
@@ -185,28 +173,21 @@ def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[
         curve_series.append((manifest["regime"], [float(x) for x in xs], ys))
 
     tradeoff_lines = [AttackReport.CSV_HEADER]
-    columns = AttackReport.CSV_HEADER.split(",")
     by_regime: dict[str, list[tuple[float, float, float]]] = {}
     for manifest, rows in runs:
         for row in sorted(rows, key=lambda r: int(r["epoch"])):
-            tradeoff_lines.append(",".join(row[c] for c in columns))
+            tradeoff_lines.append(",".join(row.values()))  # keyed in CSV_HEADER's order
             by_regime.setdefault(row["regime"], []).append(
                 (float(row["valid_perplexity"]), float(row["exposure"]), float(row["mi_accuracy"]))
             )
 
-    written = []
-
-    def emit(name: str, text: str) -> None:
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    emit("learning_curves.csv", "\n".join(curve_lines) + "\n")
-    emit("attack_tradeoff.csv", "\n".join(tradeoff_lines) + "\n")
-    emit(
-        "learning_curves.svg",
-        svg_line_plot(curve_series, "epoch", "validation perplexity", "Learning curves"),
-    )
+    outputs = {
+        "learning_curves.csv": "\n".join(curve_lines) + "\n",
+        "attack_tradeoff.csv": "\n".join(tradeoff_lines) + "\n",
+        "learning_curves.svg": svg_line_plot(
+            curve_series, "epoch", "validation perplexity", "Learning curves"
+        ),
+    }
     scatters = [
         (1, "exposure_vs_perplexity.svg", "canary exposure", "Canary exposure vs utility"),
         (2, "mi_vs_perplexity.svg", "membership inference accuracy", "Membership inference vs utility"),
@@ -216,5 +197,10 @@ def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[
             (regime, [p[0] for p in pts], [p[column] for p in pts])
             for regime, pts in sorted(by_regime.items())
         ]
-        emit(name, svg_line_plot(series, "validation perplexity", ylabel, title, draw_lines=False))
-    return written
+        outputs[name] = svg_line_plot(series, "validation perplexity", ylabel, title, draw_lines=False)
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return [out_dir / name for name in outputs]

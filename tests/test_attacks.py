@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from privlm import lm
 from privlm.attacks import (
     AttackError,
+    AttackReport,
     build_mi_dataset,
     candidate_perplexities,
     dump_perplexity_table,
     exposure,
     membership_inference,
     rank_from_perplexities,
+    read_attack_rows,
 )
 from privlm.corpus import (
     CanaryCandidates,
@@ -328,3 +331,37 @@ class TestDumpTable:
         assert [row[1] for row in rows[1:]] == [c.source_text for c in candidates.sequences()]
         assert [float(row[2]) for row in rows[1:]] == ppls.tolist()
         assert [row[3] for row in rows[1:]] == ["0", "0", "1"]
+
+
+class TestAttacksCsv:
+    """AttackReport.append_to writes attacks.csv and read_attack_rows reads it back."""
+
+    def report(self, epoch):
+        return AttackReport("abc", "dpsgd", epoch, 12.5 + epoch, 3, 0.25, 729, 0.5)
+
+    def test_rows_round_trip_as_strings(self, tmp_path):
+        path = tmp_path / "attacks.csv"
+        assert read_attack_rows(path) == []
+        for epoch in (1, 2):
+            self.report(epoch).append_to(path)
+        assert path.read_text(encoding="utf-8") == (
+            "run_id,regime,epoch,valid_perplexity,canary_rank,exposure,mi_accuracy\n"
+            "abc,dpsgd,1,13.5,3,0.25,0.5\nabc,dpsgd,2,14.5,3,0.25,0.5\n"
+        )
+        rows = read_attack_rows(path)
+        assert [list(row) for row in rows] == [AttackReport.CSV_HEADER.split(",")] * 2
+        assert [row["epoch"] for row in rows] == ["1", "2"]
+
+    @pytest.mark.parametrize("text, match", [
+        ("", ": first line is not"),
+        ("epoch,run_id\n", ": first line is not"),
+        (AttackReport.CSV_HEADER + "\nabc,dpsgd,1,13.5,3,0.25,0.5,x\n",
+         ":2: expected 7 fields, got 8"),
+        (AttackReport.CSV_HEADER + "\nabc,dpsgd,1,13.5,3,0.25,0.5\n\n",
+         ":3: expected 7 fields, got 1"),
+    ])
+    def test_malformed_file_rejected_naming_it(self, tmp_path, text, match):
+        path = tmp_path / "attacks.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(AttackError, match=f"^{re.escape(str(path))}{match}"):
+            read_attack_rows(path)

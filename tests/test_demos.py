@@ -1,6 +1,6 @@
 """Demos 01-05 run to completion against the package in src/ and leave no
-temporary directory behind; the README's library imports resolve and its
-config tables match the schemas.
+temporary directory behind; the README's library imports resolve, its
+config tables match the schemas and its run directory layout matches a run.
 
 06_full_pipeline.py trains four desk-scale models and takes minutes, so it
 is left out.
@@ -14,7 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from privlm.experiment import DETECTOR_SCHEMA, TRAIN_SCHEMA
+from privlm import synth
+from privlm.attacks import AttackReport
+from privlm.experiment import (
+    DETECTOR_SCHEMA,
+    TRAIN_SCHEMA,
+    ExperimentConfig,
+    run_attacks,
+    train,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = [
@@ -78,3 +86,40 @@ def test_readme_config_tables_match_the_schemas(heading, schema):
         for key, spec in schema.items()
     }
     assert sorted(_readme_table(readme, heading)) == sorted(expected.items())
+
+
+def _readme_run_layout(readme: str) -> dict[str, str]:
+    """{entry: its description} of the block under "## Run directory layout"."""
+    block = readme.split("## Run directory layout", 1)[1].split("```")[1]
+    entries: dict[str, str] = {}
+    for line in block.splitlines():
+        entry = re.match(r"  (\S+) +(.*)", line)  # continuation lines are indented further
+        if entry:
+            name = entry.group(1)
+            entries[name] = entry.group(2)
+        elif line.startswith("   "):
+            entries[name] += " " + line.strip()
+    return entries
+
+
+def test_readme_run_directory_layout_matches_a_run(tmp_path):
+    """A trained and attacked canary run holds exactly the README's listed files, and
+    the listed ``attacks.csv`` columns are ``AttackReport.CSV_HEADER``'s."""
+    data = synth.generate_desk_corpus(n_lines=120, sensitive_fraction=0.1, seed=3,
+                                      n_neutral_sample=10)
+    paths = synth.write_desk_dataset(data, tmp_path / "data")
+    run_dir = tmp_path / "run"
+    train(ExperimentConfig({
+        "regime": "nodp", "corpus": str(paths["corpus"]), "labels": str(paths["labels"]),
+        "canary_prefix": "my code is", "canary_slot_alphabet": "12", "canary_slot_count": 1,
+        "canary_fill": "1", "canary_count": 2, "d_emb": 4, "d_hid": 4, "epochs": 1,
+        "mi_n": 2, "out_dir": str(run_dir),
+    }))
+    run_attacks(run_dir / "manifest.json")
+
+    layout = _readme_run_layout((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sorted(layout) == sorted(p.name + "/" * p.is_dir() for p in run_dir.iterdir())
+    assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch_001.ckpt"]
+    assert "epoch_NNN.ckpt" in layout["checkpoints/"]
+    columns = layout["attacks.csv"].split("columns:")[1].split(",")
+    assert [c.strip() for c in columns] == AttackReport.CSV_HEADER.split(",")

@@ -632,6 +632,15 @@ class TestContextAudit:
         assert audit.length == 4
         assert len(audit.gaps_by_length) == 5 and audit.gap == audit.gaps_by_length[-1]
 
+    def test_alpha_must_not_be_nan_or_negative(self, context_lm):
+        params, vocab = context_lm
+        seq = TokenSequence.from_text("filler0 security code is 450", vocab)
+        for alpha in (math.nan, -0.1):
+            with pytest.raises(DetectorError, match="^alpha must be >= 0$"):
+                audit_context(params, seq, 5, alpha, identity_augmentation(), vocabulary=vocab)
+        unbounded = audit_context(params, seq, 5, math.inf, identity_augmentation(), vocab)
+        assert unbounded.found and unbounded.length == 0
+
     def test_index_validation(self, context_lm):
         params, vocab = context_lm
         seq = TokenSequence.from_text("security code is 450", vocab)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import privlm
 from privlm import attacks, detector, experiment, lm, privacy, synth
 from privlm.cli import main as cli_main
-from privlm.corpus import TokenSequence
+from privlm.corpus import CorpusError, TokenSequence
 from privlm.detector import DetectorError, constant_detector
 from privlm.experiment import (
     DETECTOR_SCHEMA,
@@ -179,6 +180,21 @@ class TestConfigParsing:
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", regime=regime,
                                  **overrides)
         with pytest.raises(ExperimentError, match=match):
+            train(ExperimentConfig.from_file(cfg))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad_input, match", [
+        ("missing_corpus", "cannot read corpus file"),
+        ("short_labels", "labels file has"),
+    ])
+    def test_unreadable_data_rejected_before_the_run_directory(self, tmp_path, data_dir,
+                                                             bad_input, match):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n" * 3, encoding="utf-8")
+        overrides = ({"corpus": tmp_path / "missing.txt"} if bad_input == "missing_corpus"
+                     else {"labels": labels})
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", **overrides)
+        with pytest.raises(CorpusError, match=match):
             train(ExperimentConfig.from_file(cfg))
         assert not (tmp_path / "o").exists()
 
@@ -386,6 +402,88 @@ class TestManifestConfig:
         assert spaced.canary_template.prefix == "my code is "
         bare = dict(config.values, canary_prefix="", canary_fill="", canary_count=0)
         assert ExperimentConfig(bare).canary_template is None
+
+
+def _without_last_checkpoint(manifest):
+    return {**manifest, "epochs": manifest["epochs"][:-1] + [
+        {k: v for k, v in manifest["epochs"][-1].items() if k != "checkpoint"}
+    ]}
+
+
+class TestRunFiles:
+    """manifest.json is read only by load_manifest and attacks.csv only by
+    read_attack_rows; each rejects a file its readers cannot use, naming it."""
+
+    def _copy(self, nodp_run, tmp_path) -> Path:
+        run_dir = tmp_path / "run"
+        shutil.copytree(nodp_run[0], run_dir, ignore=shutil.ignore_patterns("attacks.csv"))
+        return run_dir
+
+    def _argv(self, verb, manifest, tmp_path):
+        if verb == "report":
+            return ["report", "--out", str(tmp_path / "rep"), str(manifest)]
+        extra = ["--sentence", "my bank security code is 31", "--index", "6", "--alpha", "1"]
+        return [verb, "--manifest", str(manifest)] + (extra if verb == "audit-context" else [])
+
+    @pytest.mark.parametrize("verb", ["attack", "audit-context", "report"])
+    @pytest.mark.parametrize("edit", [
+        lambda m: {}, lambda m: [1, 2], _without_last_checkpoint,
+    ], ids=["empty_object", "list", "epoch_without_checkpoint"])
+    def test_bad_manifest_exits_one_naming_it(self, nodp_run, tmp_path, capsys, verb, edit):
+        path = self._copy(nodp_run, tmp_path) / "manifest.json"
+        path.write_text(json.dumps(edit(load_manifest(path))), encoding="utf-8")
+        assert cli_main(self._argv(verb, path, tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "rep").exists()
+        assert not (path.parent / "attacks.csv").exists()
+
+    @pytest.mark.parametrize("manifest, message", [
+        ("{", "not JSON"),
+        ('{"run_id": 7}', "manifest 'run_id' must be a string"),
+        (None, "epochs[1] 'valid_perplexity' must be a number"),
+    ], ids=["not_json", "run_id_not_a_string", "bool_perplexity"])
+    def test_load_manifest_names_the_key(self, nodp_run, tmp_path, manifest, message):
+        path = tmp_path / "manifest.json"
+        if manifest is None:
+            good = load_manifest(nodp_run[0] / "manifest.json")
+            good["epochs"][1]["valid_perplexity"] = True
+            manifest = json.dumps(good)
+        path.write_text(manifest, encoding="utf-8")
+        with pytest.raises(ExperimentError, match="^" + re.escape(f"{path}: {message}")):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("run_id,regime,epoch,valid_ppl,canary_rank,exposure,mi_accuracy\n"
+         "r,nodp,1,9.5,1,0.0,0.5\n", ": first line is not"),
+        (attacks.AttackReport.CSV_HEADER + "\nr,nodp,1\n", ":2: expected 7 fields, got 3"),
+    ], ids=["other_header", "short_row"])
+    def test_report_rejects_a_malformed_attacks_csv(self, nodp_run, tmp_path, capsys, text,
+                                                    where):
+        run_dir = self._copy(nodp_run, tmp_path)
+        (run_dir / "attacks.csv").write_text(text, encoding="utf-8")
+        assert cli_main(self._argv("report", run_dir / "manifest.json", tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {run_dir / 'attacks.csv'}{where}")
+        assert not (tmp_path / "rep").exists()
+
+    def test_two_attacks_leave_one_header_and_two_rows(self, nodp_run, tmp_path):
+        run_dir = self._copy(nodp_run, tmp_path)
+        reports = [run_attacks(run_dir / "manifest.json", checkpoint_epoch=e) for e in (1, 2)]
+        csv_path = run_dir / "attacks.csv"
+        header = attacks.AttackReport.CSV_HEADER
+        assert csv_path.read_text(encoding="utf-8").splitlines() == [
+            header, *(r.csv_row() for r in reports)
+        ]
+        assert attacks.read_attack_rows(csv_path) == [
+            dict(zip(header.split(","), r.csv_row().split(","))) for r in reports
+        ]
+
+    def test_run_without_epochs_rejected_naming_the_manifest(self, data_dir, tmp_path):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", epochs=0)
+        train(ExperimentConfig.from_file(cfg))
+        path = tmp_path / "run" / "manifest.json"
+        for verb in (run_attacks, lambda p: audit_manifest_context(p, "my code is 31", 4, 1.0)):
+            with pytest.raises(ExperimentError, match=re.escape(f"{path}: run has no completed")):
+                verb(path)
 
 
 class TestBlasThreads:
@@ -906,6 +1004,18 @@ class TestCli:
         assert cli_main(["report", "--out", str(report_dir),
                          str(out / "manifest.json")]) == 0
         assert (report_dir / "learning_curves.csv").exists()
+
+    @pytest.mark.parametrize("alpha, code", [("nan", 1), ("-0.5", 1), ("inf", 0)])
+    def test_audit_context_alpha_must_not_be_nan_or_negative(self, nodp_run, capsys, alpha,
+                                                            code):
+        argv = ["audit-context", "--manifest", str(nodp_run[0] / "manifest.json"),
+                "--sentence", "my bank security code is 31", "--index", "6", "--alpha", alpha]
+        assert cli_main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "error: alpha must be >= 0\n"
+        else:
+            assert "minimal context (length 0)" in captured.out
 
     def test_cli_errors_return_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
