@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,21 @@ from .lm import LMParameters
 
 class AttackError(ValueError):
     """Raised for invalid attack inputs."""
+
+
+# The columns of ``attacks.csv`` in file order, each with the type its fields read as.
+ATTACK_COLUMNS: dict[str, type] = {
+    "run_id": str, "regime": str, "epoch": int, "valid_perplexity": float,
+    "canary_rank": int, "exposure": float, "mi_accuracy": float,
+}
+
+
+def format_attack_row(row: Mapping[str, object]) -> str:
+    """The ``attacks.csv`` line of a row keyed by column: floats by ``repr``, the rest by ``str``."""
+    return ",".join(
+        repr(float(row[column])) if kind is float else str(row[column])
+        for column, kind in ATTACK_COLUMNS.items()
+    )
 
 
 @dataclass
@@ -46,13 +62,10 @@ class AttackReport:
     candidate_space_size: int
     mi_accuracy: float
 
-    CSV_HEADER = "run_id,regime,epoch,valid_perplexity,canary_rank,exposure,mi_accuracy"
+    CSV_HEADER = ",".join(ATTACK_COLUMNS)
 
     def csv_row(self) -> str:
-        return (
-            f"{self.run_id},{self.regime},{self.epoch},{float(self.valid_perplexity)!r},"
-            f"{self.canary_rank},{float(self.exposure)!r},{float(self.mi_accuracy)!r}"
-        )
+        return format_attack_row(vars(self))
 
     def append_to(self, csv_path: str | Path) -> None:
         """Append the row to ``csv_path``, after ``CSV_HEADER`` when the file is new."""
@@ -62,11 +75,14 @@ class AttackReport:
             fh.write(header + self.csv_row() + "\n")
 
 
-def read_attack_rows(csv_path: str | Path) -> list[dict[str, str]]:
-    """The rows of an ``attacks.csv`` as strings keyed by column; [] when there is no file.
+def read_attack_rows(csv_path: str | Path) -> list[dict[str, object]]:
+    """The rows of an ``attacks.csv``, typed per ``ATTACK_COLUMNS``; [] when there is no file.
 
-    A first line other than ``AttackReport.CSV_HEADER`` raises ``AttackError``
-    naming the file, and a row of another field count one naming the line.
+    Rows are keyed by (run_id, epoch): a repeated row counts once, in the place
+    of its first line. ``AttackError`` names the file for a first line other
+    than ``AttackReport.CSV_HEADER``, the line for a row of another field count
+    or a field that does not parse, and both lines for two rows of one key with
+    different values.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -74,14 +90,28 @@ def read_attack_rows(csv_path: str | Path) -> list[dict[str, str]]:
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     if lines[:1] != [AttackReport.CSV_HEADER]:
         raise AttackError(f"{csv_path}: first line is not {AttackReport.CSV_HEADER!r}")
-    columns = AttackReport.CSV_HEADER.split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    for lineno, fields in enumerate(rows, 2):
-        if len(fields) != len(columns):
+    rows: dict[tuple, tuple[int, dict[str, object]]] = {}  # (run_id, epoch) -> first line, row
+    for lineno, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        if len(fields) != len(ATTACK_COLUMNS):
             raise AttackError(
-                f"{csv_path}:{lineno}: expected {len(columns)} fields, got {len(fields)}"
+                f"{csv_path}:{lineno}: expected {len(ATTACK_COLUMNS)} fields, got {len(fields)}"
             )
-    return [dict(zip(columns, fields)) for fields in rows]
+        row = {}
+        for (column, kind), text in zip(ATTACK_COLUMNS.items(), fields):
+            try:
+                row[column] = kind(text)
+            except ValueError:
+                raise AttackError(
+                    f"{csv_path}:{lineno}: column {column!r} must be {kind.__name__}, got {text!r}"
+                ) from None
+        first, kept = rows.setdefault((row["run_id"], row["epoch"]), (lineno, row))
+        if format_attack_row(kept) != format_attack_row(row):
+            raise AttackError(
+                f"{csv_path}:{lineno}: run_id {row['run_id']!r} epoch {row['epoch']} has other "
+                f"values than on line {first}"
+            )
+    return [row for _, row in rows.values()]
 
 
 def candidate_perplexities(params: LMParameters, candidates: CanaryCandidates) -> np.ndarray:

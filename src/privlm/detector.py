@@ -21,9 +21,11 @@ of ``TEXT_BLOCK`` texts at once: one table-driven CRC-32 sweep computes
 every character gram's bucket, each distinct word and word pair is hashed
 once, and one ``np.unique`` counts (row, column) pairs in CSR order.
 ``tests/oracles.featurize_by_loop`` is the same contract written gram by
-gram. The matrix is a numpy ``CsrMatrix``; ``_csr_products`` multiplies it
-in the summation order of scipy's ``csr_matvec`` and ``csc_matvec``, so the
-detector's files and scores are the bits scipy would give.
+gram. The matrix is a numpy ``CsrMatrix``. ``X @ w`` sums each row with
+``np.add.reduceat``: its first term plus numpy's pairwise sum of the rest. So
+detector files differ from those of scipy's sequential row sums in their last
+bits only. ``X.T @ v`` adds each column in CSR order with ``np.bincount``,
+the bits of scipy's.
 
 The context audit asks, for a target token in a sequence: what is the
 shortest suffix of its preceding text whose paraphrase still predicts the
@@ -37,7 +39,6 @@ every paraphrased suffix are scored in one batched language-model pass.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -280,49 +281,27 @@ def _count_grams(
     return counts / norms[rows], cols.astype(np.int64), np.bincount(rows, minlength=len(texts))
 
 
-def _csr_products(
-    X: CsrMatrix,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """``(w -> X @ w, v -> X.T @ v)``: each entry sums its terms from +0.0, in CSR order.
+def _matvec(X: CsrMatrix, w: np.ndarray) -> np.ndarray:
+    """``X @ w``: one ``np.add.reduceat`` sums the non-empty rows' terms; empty rows are 0.0."""
+    terms = w.take(X.indices)
+    terms *= X.data
+    out = np.zeros(X.shape[0])
+    # reduceat would read an empty row's segment as the next row's first term.
+    filled = np.flatnonzero(np.diff(X.indptr))
+    out[filled] = np.add.reduceat(terms, X.indptr[filled])
+    return out
 
-    That is the order of scipy's ``csr_matvec`` and ``csc_matvec``, so both
-    products are bit-identical to scipy's. Row sums reduce a (longest row,
-    rows + 1) layout, built once per X: entry j of row i sits at [j, i], and
-    numpy reduces axis 0 one layout row at a time. The spare zero column
-    keeps the layout two wide, because numpy sums a lone column pairwise.
-    Padding reads an appended zero weight, so it adds +0.0 even where a
-    weight is not finite. Column sums are ``np.bincount``, which adds its
-    weights in input order.
-    """
-    n, width = X.shape
-    lengths = np.diff(X.indptr)
-    depth = int(lengths.max(initial=0))
-    # Row i of the transposed layout takes row i's entries, in CSR order.
-    filled = np.arange(depth) < lengths[:, None]
-    cols = np.full((depth, n + 1), width, dtype=np.intp)
-    cols.T[:n][filled] = X.indices
-    vals = np.zeros((depth, n + 1))
-    vals.T[:n][filled] = X.data
-    padded = np.zeros(width + 1)
 
-    def matvec(w: np.ndarray) -> np.ndarray:
-        padded[:width] = w
-        terms = padded.take(cols)
-        terms *= vals
-        return np.add.reduce(terms, axis=0, initial=0.0)[:n]
-
-    def rmatvec(v: np.ndarray) -> np.ndarray:
-        terms = np.repeat(v, lengths)
-        terms *= X.data
-        # bincount returns integer zeros when it has no entries at all.
-        return np.bincount(X.indices, weights=terms, minlength=width).astype(np.float64, copy=False)
-
-    return matvec, rmatvec
+def _rmatvec(X: CsrMatrix, v: np.ndarray) -> np.ndarray:
+    """``X.T @ v``: ``np.bincount`` adds each column's terms from +0.0 in CSR order, as scipy does."""
+    terms = np.repeat(v, np.diff(X.indptr))
+    terms *= X.data
+    # bincount returns integer zeros when it has no entries at all.
+    return np.bincount(X.indices, weights=terms, minlength=X.shape[1]).astype(np.float64, copy=False)
 
 
 def _scores(X: CsrMatrix, weights: np.ndarray, bias: float) -> np.ndarray:
-    matvec, _ = _csr_products(X)
-    return lm._sigmoid(matvec(weights) + bias)
+    return lm._sigmoid(_matvec(X, weights) + bias)
 
 
 @dataclass
@@ -337,7 +316,7 @@ class DetectorModel:
     measured_gamma: float
 
     def score_texts(self, texts: list[str]) -> np.ndarray:
-        # Block by block, so the product's layout stays as small as featurize's arrays.
+        # Block by block, so featurize's arrays stay as small as one block's.
         return np.concatenate([
             _scores(featurize(texts[i : i + TEXT_BLOCK], self.char_dim, self.word_dim),
                     self.weights, self.bias)
@@ -529,17 +508,16 @@ def _fit_logistic(X: CsrMatrix, y: np.ndarray, max_iter: int, first_step: float)
     are penalised), so s.y > 0 except through rounding; such pairs are skipped.
     """
     n = X.shape[0]
-    matvec, rmatvec = _csr_products(X)
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w = theta[:-1]
-        z = matvec(w)
+        z = _matvec(X, w)
         z += theta[-1]
         loss = (np.logaddexp(0.0, z).sum() - y @ z) / n + 0.5 * L2_PENALTY * (w @ w)
         err = lm._sigmoid(z)
         err -= y
         grad = np.empty_like(theta)
-        grad[:-1] = rmatvec(err)
+        grad[:-1] = _rmatvec(X, err)
         grad[:-1] /= n
         grad[:-1] += L2_PENALTY * w
         grad[-1] = err.sum() / n

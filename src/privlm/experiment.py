@@ -153,16 +153,20 @@ DETECTOR_SCHEMA: dict[str, ConfigKey] = {
     "seeds": ConfigKey("str", None, "path to sensitive seed sentences, one per line"),
     "negatives": ConfigKey("str", None, "path to non-sensitive text, one line per sequence"),
     "synonyms": ConfigKey("str", "", "synonym table path (empty = packaged default table)"),
-    "substitution_rate": ConfigKey("float", "0.5", "per-word substitution probability"),
-    "variants_per_seed": ConfigKey("int", "10", "paraphrased variants generated per seed"),
+    "substitution_rate": ConfigKey(
+        "float", "0.5", "per-word substitution probability", "in [0, 1]"
+    ),
+    "variants_per_seed": ConfigKey("int", "10", "paraphrased variants generated per seed", ">= 0"),
     "phi_seed": ConfigKey("int", "0", "seed of the paraphraser"),
-    "epochs": ConfigKey("int", "300", "cap on the classifier's L-BFGS iterations"),
-    "eta": ConfigKey("float", "2.0", "classifier's first L-BFGS step along the negative gradient"),
-    "seed": ConfigKey("int", "0", "seed for the train/validation fold split"),
-    "char_dim": ConfigKey("int", "4096", "character n-gram hashing dimension"),
-    "word_dim": ConfigKey("int", "2048", "word n-gram hashing dimension"),
-    "fpr_cap": ConfigKey("float", "0.05", "maximum validation false-positive rate"),
-    "val_fraction": ConfigKey("float", "0.25", "held-out fraction per class"),
+    "epochs": ConfigKey("int", "300", "cap on the classifier's L-BFGS iterations", ">= 1"),
+    "eta": ConfigKey(
+        "float", "2.0", "classifier's first L-BFGS step along the negative gradient", "> 0"
+    ),
+    "seed": ConfigKey("int", "0", "seed for the train/validation fold split", ">= 0"),
+    "char_dim": ConfigKey("int", "4096", "character n-gram hashing dimension", ">= 1"),
+    "word_dim": ConfigKey("int", "2048", "word n-gram hashing dimension", ">= 1"),
+    "fpr_cap": ConfigKey("float", "0.05", "maximum validation false-positive rate", "in [0, 1]"),
+    "val_fraction": ConfigKey("float", "0.25", "held-out fraction per class", "in (0, 1)"),
     "out": ConfigKey("str", None, "detector checkpoint output path"),
 }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .attacks import AttackReport, read_attack_rows
+from .attacks import AttackReport, format_attack_row, read_attack_rows
 from .experiment import load_manifest
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -175,10 +175,10 @@ def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[
     tradeoff_lines = [AttackReport.CSV_HEADER]
     by_regime: dict[str, list[tuple[float, float, float]]] = {}
     for manifest, rows in runs:
-        for row in sorted(rows, key=lambda r: int(r["epoch"])):
-            tradeoff_lines.append(",".join(row.values()))  # keyed in CSV_HEADER's order
+        for row in sorted(rows, key=lambda r: r["epoch"]):
+            tradeoff_lines.append(format_attack_row(row))
             by_regime.setdefault(row["regime"], []).append(
-                (float(row["valid_perplexity"]), float(row["exposure"]), float(row["mi_accuracy"]))
+                (row["valid_perplexity"], row["exposure"], row["mi_accuracy"])
             )
 
     outputs = {

@@ -6,7 +6,8 @@ for batched gradient norms and sums, a boolean-mask two-branch logistic
 function for the gate sigmoid, quadrature for the Renyi divergence,
 brute-force sorting and recounting for ranks and attack accuracies, a
 per-gram ``zlib.crc32`` loop for the detector's hashed features, scipy's
-sparse products for the detector's numpy ones, a candidate-by-candidate
+sparse products for the detector's numpy ones (``X.T @ v`` bit for bit,
+``X @ w`` within a rounding bound), a candidate-by-candidate
 recount for the detector's threshold, and the detector's objective with
 fixed-step gradient descent on it for its solver. ``estimate_gamma`` is the
 share of held-out positives a detector flags, which criterion 8 checks.
@@ -152,7 +153,7 @@ def featurize_by_loop(texts: list[str], char_dim: int, word_dim: int) -> CsrMatr
 
 
 def scipy_csr(X: CsrMatrix) -> sparse.csr_matrix:
-    """The same matrix as a ``scipy.sparse.csr_matrix``, whose products the detector's must equal."""
+    """The same matrix as a ``scipy.sparse.csr_matrix``, the reference for the detector's products."""
     return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 

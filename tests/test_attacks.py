@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from privlm import lm
 from privlm.attacks import (
+    ATTACK_COLUMNS,
     AttackError,
     AttackReport,
     build_mi_dataset,
     candidate_perplexities,
     dump_perplexity_table,
     exposure,
+    format_attack_row,
     membership_inference,
     rank_from_perplexities,
     read_attack_rows,
@@ -339,7 +341,7 @@ class TestAttacksCsv:
     def report(self, epoch):
         return AttackReport("abc", "dpsgd", epoch, 12.5 + epoch, 3, 0.25, 729, 0.5)
 
-    def test_rows_round_trip_as_strings(self, tmp_path):
+    def test_rows_round_trip_typed(self, tmp_path):
         path = tmp_path / "attacks.csv"
         assert read_attack_rows(path) == []
         for epoch in (1, 2):
@@ -349,8 +351,51 @@ class TestAttacksCsv:
             "abc,dpsgd,1,13.5,3,0.25,0.5\nabc,dpsgd,2,14.5,3,0.25,0.5\n"
         )
         rows = read_attack_rows(path)
-        assert [list(row) for row in rows] == [AttackReport.CSV_HEADER.split(",")] * 2
-        assert [row["epoch"] for row in rows] == ["1", "2"]
+        assert rows == [
+            {"run_id": "abc", "regime": "dpsgd", "epoch": e, "valid_perplexity": 12.5 + e,
+             "canary_rank": 3, "exposure": 0.25, "mi_accuracy": 0.5}
+            for e in (1, 2)
+        ]
+        assert [[type(v) for v in row.values()] for row in rows] == [
+            list(ATTACK_COLUMNS.values())
+        ] * 2
+        assert [format_attack_row(row) for row in rows] == [self.report(e).csv_row() for e in (1, 2)]
+
+    def test_header_and_row_come_from_the_columns(self):
+        assert AttackReport.CSV_HEADER == ",".join(ATTACK_COLUMNS)
+        row = AttackReport("r", "cadp", np.int64(7), np.float64(0.1), 2, 1 / 3, 10, 0.75)
+        assert row.csv_row() == f"r,cadp,7,0.1,2,{1 / 3!r},0.75"
+
+    def test_identical_repeat_counts_once(self, tmp_path):
+        path = tmp_path / "attacks.csv"
+        for epoch in (2, 1, 2, 2):
+            self.report(epoch).append_to(path)
+        assert [row["epoch"] for row in read_attack_rows(path)] == [2, 1]
+
+    @pytest.mark.parametrize("column, value", [
+        ("epoch", "one"), ("epoch", "1.0"), ("canary_rank", "3.5"),
+        ("valid_perplexity", "x"), ("exposure", ""), ("mi_accuracy", "0.5.1"),
+    ])
+    def test_unparsed_field_rejected_naming_line_and_column(self, tmp_path, column, value):
+        path = tmp_path / "attacks.csv"
+        for epoch in (1, 2):
+            self.report(epoch).append_to(path)
+        fields = self.report(2).csv_row().split(",")
+        fields[list(ATTACK_COLUMNS).index(column)] = value
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines[:2], ",".join(fields)]) + "\n", encoding="utf-8")
+        want = f"{path}:3: column {column!r} must be {ATTACK_COLUMNS[column].__name__}, got {value!r}"
+        with pytest.raises(AttackError, match=f"^{re.escape(want)}$"):
+            read_attack_rows(path)
+
+    def test_conflicting_rows_of_one_key_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "attacks.csv"
+        changed = dataclasses.replace(self.report(1), exposure=1.0)
+        for report in (self.report(1), self.report(2), changed):
+            report.append_to(path)
+        want = f"{path}:4: run_id 'abc' epoch 1 has other values than on line 2"
+        with pytest.raises(AttackError, match=f"^{re.escape(want)}$"):
+            read_attack_rows(path)
 
     @pytest.mark.parametrize("text, match", [
         ("", ": first line is not"),

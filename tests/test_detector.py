@@ -24,8 +24,9 @@ from privlm.detector import (
     DetectorError,
     DetectorModel,
     GRAD_TOL,
-    _csr_products,
     _fold_indices,
+    _matvec,
+    _rmatvec,
     _select_threshold,
     audit_context,
     build_detector_dataset,
@@ -254,33 +255,65 @@ def csr_matrices(draw):
     return CsrMatrix(data, indices, indptr, (n_rows, width))
 
 
+def csr_from_rows(rows: list[list[int]], width: int) -> CsrMatrix:
+    """A 0/1 matrix whose row i holds a 1.0 in each column of ``rows[i]``."""
+    indices = np.array([c for row in rows for c in row], dtype=np.int64)
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    return CsrMatrix(np.ones(indices.size), indices, indptr, (len(rows), width))
+
+
+def random_vectors(X: CsrMatrix, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normal vectors for ``X @ w`` and ``X.T @ v``, entries scaled by 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-8, 9, size=X.shape[1] + X.shape[0])
+    w = rng.standard_normal(X.shape[1]) * scale[: X.shape[1]]
+    v = rng.standard_normal(X.shape[0]) * scale[X.shape[1] :]
+    return w, v
+
+
 class TestCsrProducts:
     @settings(max_examples=300, deadline=None)
     @given(X=csr_matrices(), seed=st.integers(0, 2**32 - 1))
-    def test_equal_scipy_bit_for_bit(self, X, seed):
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.integers(-8, 9, size=X.shape[1] + X.shape[0])
-        w = rng.standard_normal(X.shape[1]) * scale[: X.shape[1]]
-        v = rng.standard_normal(X.shape[0]) * scale[X.shape[1] :]
-        matvec, rmatvec = _csr_products(X)
-        want_w, want_v = scipy_csr(X) @ w, scipy_csr(X).T @ v
-        got_w, got_v = matvec(w), rmatvec(v)
-        assert got_w.dtype == got_v.dtype == np.float64
-        assert got_w.tobytes() == want_w.tobytes()
-        assert got_v.tobytes() == want_v.tobytes()
+    def test_transpose_product_equals_scipy_bit_for_bit(self, X, seed):
+        _, v = random_vectors(X, seed)
+        got = _rmatvec(X, v)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (scipy_csr(X).T @ v).tobytes()
 
-    def test_single_long_row(self):
-        # numpy sums one contiguous column pairwise; the row sum must stay sequential.
-        data = np.array([1e16, 1.0, -1e16] + [1.0] * 20)
-        X = CsrMatrix(data, np.arange(23, dtype=np.int64), np.array([0, 23], dtype=np.int64), (1, 23))
-        got = _csr_products(X)[0](np.ones(23))
-        assert got.tobytes() == (scipy_csr(X) @ np.ones(23)).tobytes() == np.array([20.0]).tobytes()
+    @settings(max_examples=300, deadline=None)
+    @given(X=csr_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_product_within_rounding_of_scipy(self, X, seed):
+        # Two summation orders of k terms each lie within (k - 1) * 2**-53 * sum|term| of
+        # the exact sum, so within 2 * k * 2**-52 * (|X| @ |w|) of each other.
+        w, _ = random_vectors(X, seed)
+        got, want = _matvec(X, w), scipy_csr(X) @ w
+        longest = int(np.diff(X.indptr).max(initial=0))
+        bound = 2 * longest * 2.0**-52 * (abs(scipy_csr(X)) @ np.abs(w))
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("rows, width", [
+        ([[], [0, 2]], 3),  # empty first row
+        ([[1], [0, 2], []], 3),  # empty last row
+        ([[0], [], [], [1, 3]], 4),  # consecutive empty rows
+        ([[], [], []], 3),  # every row empty
+        ([], 4),  # no rows
+    ])
+    def test_empty_rows_read_zero_and_no_neighbour(self, rows, width):
+        # Each weight is its own power of two, so a row's exact sum names the terms it added.
+        X = csr_from_rows(rows, width)
+        got = _matvec(X, 2.0 ** np.arange(width))
+        want = np.array([sum(2.0**c for c in row) for row in rows])
+        assert got.dtype == np.float64 and got.shape == (len(rows),)
+        assert got.tobytes() == (want + 0.0).tobytes()  # an empty row is +0.0
+        v = np.ones(len(rows))
+        assert _rmatvec(X, v).tobytes() == (scipy_csr(X).T @ v).tobytes()
 
     def test_padding_adds_zero_against_nonfinite_weights(self):
         X = featurize(["a b", "a much longer line of text"], 16, 8)
         w = np.full(24, np.inf)
         w[X.indices[: X.indptr[1]]] = 1.0  # every weight the short row reads is finite
-        got = _csr_products(X)[0](w)
+        got = _matvec(X, w)
         assert np.isfinite(got[0]) and got[0].tobytes() == (scipy_csr(X) @ w)[0].tobytes()
 
 

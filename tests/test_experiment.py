@@ -474,8 +474,48 @@ class TestRunFiles:
             header, *(r.csv_row() for r in reports)
         ]
         assert attacks.read_attack_rows(csv_path) == [
-            dict(zip(header.split(","), r.csv_row().split(","))) for r in reports
+            {column: getattr(r, column) for column in attacks.ATTACK_COLUMNS} for r in reports
         ]
+
+    def test_report_counts_a_repeated_attack_once(self, nodp_run, tmp_path):
+        run_dir = self._copy(nodp_run, tmp_path)
+        for _ in range(2):
+            run_attacks(run_dir / "manifest.json", checkpoint_epoch=1)
+        assert len((run_dir / "attacks.csv").read_text(encoding="utf-8").splitlines()) == 3
+        assert cli_main(self._argv("report", run_dir / "manifest.json", tmp_path)) == 0
+        tradeoff = (tmp_path / "rep" / "attack_tradeoff.csv").read_text(encoding="utf-8")
+        assert tradeoff.splitlines()[1:] == [
+            (run_dir / "attacks.csv").read_text(encoding="utf-8").splitlines()[1]
+        ]
+
+    def _attacked_once(self, nodp_run, tmp_path) -> tuple[Path, str, list[str]]:
+        run_dir = self._copy(nodp_run, tmp_path)
+        run_attacks(run_dir / "manifest.json", checkpoint_epoch=1)
+        header, row = (run_dir / "attacks.csv").read_text(encoding="utf-8").splitlines()
+        return run_dir, header, row.split(",")
+
+    def test_report_refuses_an_unparsed_field_naming_the_column(self, nodp_run, tmp_path, capsys):
+        run_dir, header, fields = self._attacked_once(nodp_run, tmp_path)
+        fields[2] = "one"
+        csv_path = run_dir / "attacks.csv"
+        csv_path.write_text(f"{header}\n{','.join(fields)}\n", encoding="utf-8")
+        assert cli_main(self._argv("report", run_dir / "manifest.json", tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}:2: column 'epoch' must be int, got 'one'\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_refuses_conflicting_rows_naming_both_lines(self, nodp_run, tmp_path, capsys):
+        run_dir, header, fields = self._attacked_once(nodp_run, tmp_path)
+        changed = [*fields[:5], repr(float(fields[5]) + 1.0), fields[6]]
+        csv_path = run_dir / "attacks.csv"
+        csv_path.write_text(f"{header}\n{','.join(fields)}\n{','.join(changed)}\n",
+                            encoding="utf-8")
+        assert cli_main(self._argv("report", run_dir / "manifest.json", tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}:3: run_id {fields[0]!r} epoch 1 has other values than on line 2\n"
+        )
+        assert not (tmp_path / "rep").exists()
 
     def test_run_without_epochs_rejected_naming_the_manifest(self, data_dir, tmp_path):
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "run", epochs=0)
@@ -907,13 +947,15 @@ class TestDetectorTraining:
             f"epochs = 5\nchar_dim = {char_dim}\nword_dim = {word_dim}\nout = {out}\n",
             encoding="utf-8",
         )
-        with pytest.raises(DetectorError, match=f"{field} must be >= 1"):
+        with pytest.raises(ExperimentError, match=f"{field} must be >= 1"):
             train_detector_from_config(cfg)
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("epochs", -5), ("epochs", 0), ("eta", 0), ("eta", -1), ("eta", "nan"),
         ("val_fraction", 0), ("val_fraction", 1), ("seed", -1),
+        ("variants_per_seed", -1), ("fpr_cap", -0.1), ("fpr_cap", 1.5), ("fpr_cap", "nan"),
+        ("substitution_rate", 1.5),
     ])
     def test_out_of_range_training_value_rejected(self, data_dir, tmp_path, key, value):
         out = tmp_path / "det" / "det.bin"
@@ -923,7 +965,7 @@ class TestDetectorTraining:
             f"char_dim = 64\nword_dim = 32\n{key} = {value}\nout = {out}\n",
             encoding="utf-8",
         )
-        with pytest.raises(DetectorError, match=f"^{key} must be"):
+        with pytest.raises(ExperimentError, match=f"^{key} must be"):
             train_detector_from_config(cfg)
         assert not out.parent.exists()
 
