@@ -14,7 +14,6 @@ from privlm.detector import (
     audit_context,
     build_detector_dataset,
     default_synonyms,
-    identity_augmentation,
     paraphrase,
     train_detector,
 )
@@ -80,8 +79,9 @@ for _ in range(250):
     params = privacy.plain_sgd_step(params, seqs, eta=0.5)
 
 target = TokenSequence.from_text("alpha security code is 450", audit_vocab)
+no_paraphrase = AugmentationConfig(synonym_table={}, substitution_rate=0.0, passes=0)
 audit = audit_context(params, target, target_index=5, alpha=0.1,
-                      cfg=identity_augmentation(), vocabulary=audit_vocab)
+                      cfg=no_paraphrase, vocabulary=audit_vocab)
 print(f"probability of '450' given the full prefix: {audit.reference_probability:.4f}")
 print(f"suffix gaps by length: {[round(g, 4) for g in audit.gaps_by_length]}")
 print(f"minimal context at tolerance 0.1: {audit.context_text!r} (length {audit.length})")

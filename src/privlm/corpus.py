@@ -59,15 +59,8 @@ class Vocabulary:
         self.extend(tokens)
 
     @property
-    def unk_id(self) -> int:
-        return 0
-
-    @property
     def size(self) -> int:
         return len(self._id_to_token)
-
-    def __len__(self) -> int:
-        return self.size
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -77,13 +70,8 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
-    def add(self, token: str) -> int:
-        """Add a token if absent; return its id."""
-        self.extend([token])
-        return self._token_to_id[token]
-
     def extend(self, tokens: Iterable[str]) -> None:
-        """Append the tokens not yet present, in order, with the ids repeated ``add`` calls give.
+        """Append the tokens not yet present, in order, each with the next free id.
 
         A token must be non-empty and free of whitespace. On the first token
         that is not, ``CorpusError`` is raised with the tokens before it added.
@@ -99,12 +87,6 @@ class Vocabulary:
         for tok in tokens:
             ids.setdefault(tok, len(ids))
         self._id_to_token.extend(itertools.islice(ids, start, None))  # the keys just inserted
-
-    def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, self.unk_id)
-
-    def token_of(self, tid: int) -> str:
-        return self._id_to_token[tid]
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         return [self._token_to_id.get(t, 0) for t in tokens]

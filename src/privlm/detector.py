@@ -111,11 +111,6 @@ class AugmentationConfig:
                 raise DetectorError(f"empty synonym list for {word!r}")
 
 
-def identity_augmentation() -> AugmentationConfig:
-    """A paraphraser that never changes anything (substitution rate 0)."""
-    return AugmentationConfig(synonym_table={}, substitution_rate=0.0, passes=0, seed=0)
-
-
 def paraphrase(text: str, cfg: AugmentationConfig, variant_index: int = 0) -> str:
     """Deterministic paraphrase of ``text`` for (text, cfg.seed, variant_index).
 
@@ -373,22 +368,6 @@ class DetectorModel:
             threshold=kv["threshold"],
             measured_gamma=kv["gamma"],
         )
-
-
-def constant_detector(flag_everything: bool, char_dim: int = 16, word_dim: int = 16) -> DetectorModel:
-    """Degenerate detector that labels everything (or nothing) sensitive.
-
-    With zero weights every score is 0.5, so threshold 0 flags all inputs and
-    threshold 1.5 flags none. Useful for regime-equivalence checks.
-    """
-    return DetectorModel(
-        char_dim=char_dim,
-        word_dim=word_dim,
-        weights=np.zeros(char_dim + word_dim),
-        bias=0.0,
-        threshold=0.0 if flag_everything else 1.5,
-        measured_gamma=1.0,
-    )
 
 
 @dataclass

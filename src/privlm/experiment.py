@@ -32,14 +32,10 @@ the current steps run, and it alone touches the generator, in submission
 order, so every step gets the bits of a serial draw. The draws go into two
 P-length buffers that the worker fills in turn, one for the running step
 and one for the next; the worker is joined before ``train`` returns or
-raises.
-
-Training memory. Each step allocates one P-length vector, its weighted sum,
-which becomes the theta it returns (see ``privacy``), so a step holds the
-old and the new theta and nothing P-sized besides the two noise buffers.
-Each epoch builds one ``lm.Workspace`` for ``batch_size`` and the longest
-training line, so every step of the epoch fits its buffers and none stays
-resident into the next epoch.
+raises. Besides these and the old and new theta (see ``lm``), a step holds
+nothing P-sized. Each epoch builds one ``lm.Workspace`` for ``batch_size``
+and the longest training line, so every step of the epoch fits its buffers
+and none stays resident into the next epoch.
 
 Config files are flat ``key = value`` text. A file, a dict and a manifest's
 ``"config"`` all go through ``resolve_config``: the schemas below give each key's
@@ -99,7 +95,6 @@ class TrainingDiverged(RuntimeError):
 class ConfigKey:
     kind: str  # str | int | float
     default: str | None  # None means required
-    help: str
     # Valid values: ">= b", "> b", "in (lo, hi)" ("[" or "]" for a closed end) or quoted
     # choices; "" allows any value of the kind.
     rule: str = ""
@@ -107,68 +102,56 @@ class ConfigKey:
 
 
 TRAIN_SCHEMA: dict[str, ConfigKey] = {
-    "regime": ConfigKey("str", None, "one of nodp, dpsgd, sdpsgd, cadp", f"one of {REGIMES}"),
-    "corpus": ConfigKey("str", None, "path to the training text, one sequence per line"),
-    "labels": ConfigKey("str", "", "optional path to a 0/1 sensitivity label per corpus line"),
-    "min_count": ConfigKey("int", "1", "tokens rarer than this map to the unknown token"),
-    "max_seq_len": ConfigKey("int", "64", "sequences are truncated to this many tokens", ">= 2"),
-    "train_fraction": ConfigKey("float", "0.8", "train share of the corpus split", "in (0, 1)"),
-    "canary_prefix": ConfigKey("str", "", "canary sentence prefix; empty disables planting"),
-    "canary_slot_alphabet": ConfigKey("str", "123456789", "characters the canary slot draws from"),
-    "canary_slot_count": ConfigKey("int", "3", "number of slot characters"),
-    "canary_fill": ConfigKey("str", "", "the planted slot value"),
-    "canary_count": ConfigKey("int", "0", "how many copies of the canary to plant", ">= 0"),
-    "d_emb": ConfigKey("int", "64", "embedding dimension", ">= 1"),
-    "d_hid": ConfigKey("int", "64", "LSTM hidden dimension", ">= 1"),
-    "epochs": ConfigKey("int", "20", "training epochs", ">= 0"),
-    "batch_size": ConfigKey("int", "32", "minibatch size", ">= 1"),
-    "eta": ConfigKey("float", "0.1", "learning rate", "> 0"),
-    "sigma": ConfigKey("float", "1.0", "noise multiplier for private steps", "> 0"),
-    "clip_bound": ConfigKey("float", "1.0", "per-example gradient clipping bound", "> 0"),
-    "delta": ConfigKey(
-        "float", "1e-5", "DP failure probability (must exceed 1 - gamma)", "in (0, 1)"
-    ),
-    "rdp_alpha": ConfigKey("float", "2.0", "Renyi order used by the accountant", "> 1"),
-    "detector": ConfigKey("str", "", "detector checkpoint path (required for cadp)"),
-    "secret_pattern": ConfigKey(
-        "str", "", "regex marking secret-format sequences (sdpsgd; repeatable)", repeatable=True
-    ),
-    "synonyms": ConfigKey("str", "", "synonym table path for context audits (empty = identity)"),
-    "substitution_rate": ConfigKey(
-        "float", "0.5", "paraphrase substitution rate for audits", "in [0, 1]"
-    ),
-    "phi_seed": ConfigKey("int", "0", "seed of the audit paraphraser"),
-    "seed_data": ConfigKey("int", "1", "seed for splits and batch shuffles", ">= 0"),
-    "seed_init": ConfigKey("int", "2", "seed for parameter initialization", ">= 0"),
-    "seed_noise": ConfigKey("int", "3", "seed of the private-step noise stream", ">= 0"),
-    "mi_n": ConfigKey("int", "50", "members/non-members per side of the MI attack", ">= 1"),
-    "mi_members": ConfigKey(
-        "str", "sensitive", "MI member pool: 'sensitive' (labeled lines) or 'all'",
-        "'sensitive' or 'all'",
-    ),
-    "out_dir": ConfigKey("str", None, "run output directory"),
+    "regime": ConfigKey("str", None, f"one of {REGIMES}"),
+    "corpus": ConfigKey("str", None),
+    "labels": ConfigKey("str", ""),
+    "min_count": ConfigKey("int", "1"),
+    "max_seq_len": ConfigKey("int", "64", ">= 2"),
+    "train_fraction": ConfigKey("float", "0.8", "in (0, 1)"),
+    "canary_prefix": ConfigKey("str", ""),
+    "canary_slot_alphabet": ConfigKey("str", "123456789"),
+    "canary_slot_count": ConfigKey("int", "3"),
+    "canary_fill": ConfigKey("str", ""),
+    "canary_count": ConfigKey("int", "0", ">= 0"),
+    "d_emb": ConfigKey("int", "64", ">= 1"),
+    "d_hid": ConfigKey("int", "64", ">= 1"),
+    "epochs": ConfigKey("int", "20", ">= 0"),
+    "batch_size": ConfigKey("int", "32", ">= 1"),
+    "eta": ConfigKey("float", "0.1", "> 0"),
+    "sigma": ConfigKey("float", "1.0", "> 0"),
+    "clip_bound": ConfigKey("float", "1.0", "> 0"),
+    "delta": ConfigKey("float", "1e-5", "in (0, 1)"),
+    "rdp_alpha": ConfigKey("float", "2.0", "> 1"),
+    "detector": ConfigKey("str", ""),
+    "secret_pattern": ConfigKey("str", "", repeatable=True),
+    "synonyms": ConfigKey("str", ""),
+    "substitution_rate": ConfigKey("float", "0.5", "in [0, 1]"),
+    "phi_seed": ConfigKey("int", "0"),
+    "seed_data": ConfigKey("int", "1", ">= 0"),
+    "seed_init": ConfigKey("int", "2", ">= 0"),
+    "seed_noise": ConfigKey("int", "3", ">= 0"),
+    "mi_n": ConfigKey("int", "50", ">= 1"),
+    "mi_members": ConfigKey("str", "sensitive", "'sensitive' or 'all'"),
+    "out_dir": ConfigKey("str", None),
 }
 
 DETECTOR_SCHEMA: dict[str, ConfigKey] = {
-    "seeds": ConfigKey("str", None, "path to sensitive seed sentences, one per line"),
-    "negatives": ConfigKey("str", None, "path to non-sensitive text, one line per sequence"),
-    "synonyms": ConfigKey("str", "", "synonym table path (empty = packaged default table)"),
-    "substitution_rate": ConfigKey(
-        "float", "0.5", "per-word substitution probability", "in [0, 1]"
-    ),
-    "variants_per_seed": ConfigKey("int", "10", "paraphrased variants generated per seed", ">= 0"),
-    "phi_seed": ConfigKey("int", "0", "seed of the paraphraser"),
-    "epochs": ConfigKey("int", "300", "cap on the classifier's L-BFGS iterations", ">= 1"),
-    "eta": ConfigKey(
-        "float", "2.0", "classifier's first L-BFGS step along the negative gradient", "> 0"
-    ),
-    "seed": ConfigKey("int", "0", "seed for the train/validation fold split", ">= 0"),
-    "char_dim": ConfigKey("int", "4096", "character n-gram hashing dimension", ">= 1"),
-    "word_dim": ConfigKey("int", "2048", "word n-gram hashing dimension", ">= 1"),
-    "fpr_cap": ConfigKey("float", "0.05", "maximum validation false-positive rate", "in [0, 1]"),
-    "val_fraction": ConfigKey("float", "0.25", "held-out fraction per class", "in (0, 1)"),
-    "out": ConfigKey("str", None, "detector checkpoint output path"),
+    "seeds": ConfigKey("str", None),
+    "negatives": ConfigKey("str", None),
+    "synonyms": ConfigKey("str", ""),
+    "substitution_rate": ConfigKey("float", "0.5", "in [0, 1]"),
+    "variants_per_seed": ConfigKey("int", "10", ">= 0"),
+    "phi_seed": ConfigKey("int", "0"),
+    "epochs": ConfigKey("int", "300", ">= 1"),
+    "eta": ConfigKey("float", "2.0", "> 0"),
+    "seed": ConfigKey("int", "0", ">= 0"),
+    "char_dim": ConfigKey("int", "4096", ">= 1"),
+    "word_dim": ConfigKey("int", "2048", ">= 1"),
+    "fpr_cap": ConfigKey("float", "0.05", "in [0, 1]"),
+    "val_fraction": ConfigKey("float", "0.25", "in (0, 1)"),
+    "out": ConfigKey("str", None),
 }
+
 
 def _meets(value, rule: str) -> bool:
     """Whether ``value`` meets a ``ConfigKey.rule``; nan fails every numeric rule."""
@@ -192,12 +175,10 @@ def _typed(value, key: str, spec: ConfigKey, where: str):
     raise ExperimentError(f"{where}bad {spec.kind} value for {key!r}: {value!r}")
 
 
-def resolve_config(
-    values: dict, schema: dict[str, ConfigKey], source: str | Path = "", defaults: bool = True
-) -> dict:
+def resolve_config(values: dict, schema: dict[str, ConfigKey], source: str | Path = "") -> dict:
     """Every schema key's value, typed and checked against its rule, from a file's strings or
-    typed values. Unknown keys, missing ones without a default (any, if not ``defaults``) and
-    bad values are rejected with ``source`` prefixed; a broken rule's error is not prefixed.
+    typed values. Unknown keys, missing ones without a default, bad values and broken rules
+    are rejected with ``source`` prefixed.
     """
     where = f"{source}: " if source else ""
     for key in values:
@@ -207,14 +188,14 @@ def resolve_config(
     for key, spec in schema.items():
         value = values.get(key)
         if value is None:
-            if spec.default is None or not defaults:
+            if spec.default is None:
                 raise ExperimentError(f"{where}missing required config key {key!r}")
             value = ([spec.default] if spec.default else []) if spec.repeatable else spec.default
         items = value if spec.repeatable and isinstance(value, list) else [value]
         typed = [_typed(item, key, spec, where) for item in items]
         out[key] = typed if spec.repeatable else typed[0]
         if spec.rule and not _meets(out[key], spec.rule):
-            raise ExperimentError(f"{key} must be {spec.rule}, got {out[key]!r}")
+            raise ExperimentError(f"{where}{key} must be {spec.rule}, got {out[key]!r}")
     return out
 
 
@@ -536,13 +517,18 @@ def _load_checkpoint(
 ) -> tuple[dict, ExperimentConfig, dict, Vocabulary, lm.LMParameters]:
     """(manifest, config, epoch entry, vocabulary, parameters) of one checkpoint.
 
-    ``epoch`` None picks the last completed epoch. A run with none, or a config that
-    does not resolve with every key given, raises an ``ExperimentError`` naming the manifest.
+    ``epoch`` None picks the last completed epoch. A run with none or without that epoch,
+    or a config that does not give and resolve every key, raises an ``ExperimentError``
+    naming the manifest.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
+    # A run records every key, so a default here would fill in what the run did not use.
+    missing = next((key for key in TRAIN_SCHEMA if manifest["config"].get(key) is None), None)
+    if missing is not None:
+        raise ExperimentError(f"{manifest_path}: missing required config key {missing!r}")
     try:
-        config = ExperimentConfig(resolve_config(manifest["config"], TRAIN_SCHEMA, defaults=False))
+        config = ExperimentConfig(manifest["config"])
     except ExperimentError as exc:
         raise ExperimentError(f"{manifest_path}: {exc}") from None
     if not manifest["epochs"]:
@@ -551,7 +537,7 @@ def _load_checkpoint(
     if epoch is None:
         epoch = max(by_epoch)
     if epoch not in by_epoch:
-        raise ExperimentError(f"no checkpoint for epoch {epoch}")
+        raise ExperimentError(f"{manifest_path}: no checkpoint for epoch {epoch}")
     entry = by_epoch[epoch]
     vocab = Vocabulary.load(manifest_path.parent / "vocab.txt")
     params = lm.LMParameters.load(manifest_path.parent / entry["checkpoint"], expect_vocab=vocab.size)

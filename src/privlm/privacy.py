@@ -8,13 +8,10 @@ shuffling, so runs are bit-reproducible.
 
 The noise is P standard normals scaled by sigma*C in place, which gives the
 bits of ``normal(0, sigma*C)``. ``dp_sgd_step`` takes that (P,) draw from its
-caller: ``experiment.train`` draws each private step's vector one step ahead
-on one worker thread, into two P-length buffers it fills in turn. Both steps
-run ``lm.backprop`` on an ``lm.Workspace`` (one sized for the batch when the
-caller passes none), whose factors last until the next ``backprop`` on it.
-Each step allocates one P-length vector, its weighted sum, and
-``lm.apply_update`` turns that sum into the theta the step returns, in place;
-later steps never touch it.
+caller; ``experiment`` tells how ``train`` draws it. Both steps run
+``lm.backprop`` on an ``lm.Workspace`` (one sized for the batch when the
+caller passes none) and return the theta ``lm.apply_update`` makes of their
+weighted sum; ``lm`` tells what each of them holds.
 
 Clipping never materialises the per-example gradients: the step takes each
 example's norm n from the backward pass's factors (``lm.GradientFactors``),

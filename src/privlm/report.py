@@ -26,8 +26,6 @@ class ReportError(ValueError):
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ReportError("non-finite axis range")
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 2.5, 5, 10):
@@ -153,13 +151,25 @@ def write_report(manifest_paths: list[str | Path], out_dir: str | Path) -> list[
     accuracy per attacked checkpoint), and three SVG plots over the same
     axes. Every manifest and ``attacks.csv`` is read, and every output made,
     before ``out_dir`` is created, so a bad input leaves no directory behind.
+    A run given twice, or an ``attacks.csv`` row of another run than its
+    manifest's (one left by an earlier run in the same directory), raises
+    ``ReportError``.
     """
     if not manifest_paths:
         raise ReportError("need at least one manifest")
-    runs = [
-        (load_manifest(mp), read_attack_rows(Path(mp).parent / "attacks.csv"))
-        for mp in manifest_paths
-    ]
+    runs = []
+    seen: dict[str, str | Path] = {}  # run_id -> its manifest path
+    for mp in manifest_paths:
+        manifest, csv_path = load_manifest(mp), Path(mp).parent / "attacks.csv"
+        run_id = manifest["run_id"]
+        if run_id in seen:
+            raise ReportError(f"run {run_id} is given twice: {seen[run_id]} and {mp}")
+        seen[run_id] = mp
+        rows = read_attack_rows(csv_path)
+        stale = next((row["run_id"] for row in rows if row["run_id"] != run_id), None)
+        if stale is not None:
+            raise ReportError(f"{csv_path}: holds attacks on run {stale}, but {mp} is run {run_id}")
+        runs.append((manifest, rows))
     runs.sort(key=lambda r: (r[0]["regime"], r[0]["run_id"]))
 
     curve_lines = ["run_id,regime,epoch,valid_perplexity"]

@@ -14,11 +14,13 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from privlm import lm  # noqa: E402
 from privlm.corpus import TokenSequence  # noqa: E402
+from privlm.detector import DetectorModel  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -45,6 +47,13 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def constant_detector(flag_everything: bool) -> DetectorModel:
+    """A detector that flags every text, or none: with zero weights every
+    score is 0.5, which threshold 0 passes and threshold 1.5 does not."""
+    return DetectorModel(char_dim=16, word_dim=16, weights=np.zeros(32), bias=0.0,
+                         threshold=0.0 if flag_everything else 1.5, measured_gamma=1.0)
 
 
 @st.composite

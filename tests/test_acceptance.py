@@ -22,7 +22,7 @@ import privlm
 from privlm import lm, privacy, synth
 from privlm.attacks import membership_inference, build_mi_dataset
 from privlm.corpus import TokenSequence, derived_seed
-from privlm.detector import constant_detector, paraphrase, train_detector
+from privlm.detector import paraphrase, train_detector
 from privlm.experiment import (
     ExperimentConfig,
     prepare_data,
@@ -31,7 +31,7 @@ from privlm.experiment import (
 )
 from privlm.privacy import PrivacyError, PrivacySpec
 
-from conftest import record_acceptance
+from conftest import constant_detector, record_acceptance
 from desk import (
     DESK,
     DESK_DETECTOR,

@@ -54,10 +54,7 @@ def patched_perplexities(monkeypatch):
 
 
 def seqs_from(texts):
-    vocab = Vocabulary()
-    for t in texts:
-        for tok in t.split():
-            vocab.add(tok)
+    vocab = Vocabulary(tok for t in texts for tok in t.split())
     return [TokenSequence.from_text(t, vocab) for t in texts]
 
 

@@ -8,6 +8,7 @@ from privlm.corpus import (
     CanaryTemplate,
     Corpus,
     CorpusError,
+    UNK_TOKEN,
     TokenSequence,
     Vocabulary,
     enumerate_canaries,
@@ -52,9 +53,9 @@ class TestLoadCorpus:
         corpus = load_corpus(small_file, min_count=2)
         assert "a" in corpus.vocabulary
         assert "b" not in corpus.vocabulary and "c" not in corpus.vocabulary
-        unk = corpus.vocabulary.unk_id
-        assert corpus.sequences[0].ids[1] == unk
-        assert corpus.sequences[1].ids[1] == unk
+        assert corpus.vocabulary.tokens[0] == UNK_TOKEN
+        assert corpus.sequences[0].ids[1] == 0
+        assert corpus.sequences[1].ids[1] == 0
 
     def test_wiki_dump_style_file_loads_and_token_count_matches(self, tmp_path):
         # encyclopedia-dump style lines: headings, punctuation-as-token prose, blanks
@@ -114,14 +115,15 @@ class TestLoadCorpus:
 class TestVocabulary:
     def test_ids_contiguous_and_inverse(self):
         vocab = Vocabulary(["b", "a", "c"])
-        assert [vocab.id_of(t) for t in ("b", "a", "c")] == [1, 2, 3]
+        assert vocab.encode_tokens(["b", "a", "c"]) == [1, 2, 3]
         for tid in range(vocab.size):
-            tok = vocab.token_of(tid)
-            assert vocab.id_of(tok) == tid
+            tok = vocab.tokens[tid]
+            assert vocab.encode_tokens([tok]) == [tid]
 
     def test_unknown_token_maps_to_unk(self):
         vocab = Vocabulary(["a"])
-        assert vocab.id_of("zzz") == vocab.unk_id
+        assert vocab.encode_tokens(["zzz"]) == [0]
+        assert vocab.tokens[0] == UNK_TOKEN
 
     def test_save_load_roundtrip(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta", "gamma"])
@@ -130,7 +132,7 @@ class TestVocabulary:
         loaded = Vocabulary.load(path)
         assert loaded.size == vocab.size
         for tid in range(vocab.size):
-            assert loaded.token_of(tid) == vocab.token_of(tid)
+            assert loaded.tokens[tid] == vocab.tokens[tid]
 
     def test_encodings_always_below_size(self):
         vocab = Vocabulary(["a", "b"])
@@ -139,13 +141,14 @@ class TestVocabulary:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=6), st.sampled_from(["", "a b", "a\tb", "\u3000", "x\x1c", "\u2028y"])))
-    def test_add_rejects_exactly_empty_or_whitespace_tokens(self, token):
+    def test_extend_rejects_exactly_empty_or_whitespace_tokens(self, token):
         vocab = Vocabulary()
         if not token or any(ch.isspace() for ch in token):
             with pytest.raises(CorpusError, match="invalid vocabulary token"):
-                vocab.add(token)
+                vocab.extend([token])
         else:
-            assert vocab.token_of(vocab.add(token)) == token
+            vocab.extend([token])
+            assert vocab.tokens[vocab.encode_tokens([token])[0]] == token
 
     def test_load_rejects_a_repeated_line(self, tmp_path):
         # A repeat would shift every later token off the id its line number gives.
@@ -172,24 +175,24 @@ class TestVocabulary:
                                   st.sampled_from(["", "a b", "\t", "\u3000", "x\x1c"]),
                                   st.text(max_size=3)), max_size=8),
     )
-    def test_extend_equals_repeated_add(self, known, tokens):
+    def test_extend_equals_extending_one_token_at_a_time(self, known, tokens):
         one_pass, one_at_a_time = Vocabulary(known), Vocabulary(known)
         bad = next((k for k, tok in enumerate(tokens) if tok.split() != [tok]), None)
         if bad is None:
             one_pass.extend(tokens)
             for tok in tokens:
-                one_at_a_time.add(tok)
+                one_at_a_time.extend([tok])
         else:
             with pytest.raises(CorpusError) as extend_error:
                 one_pass.extend(tokens)
-            with pytest.raises(CorpusError) as add_error:
+            with pytest.raises(CorpusError) as single_error:
                 for tok in tokens:
-                    one_at_a_time.add(tok)
-            assert str(extend_error.value) == str(add_error.value)
+                    one_at_a_time.extend([tok])
+            assert str(extend_error.value) == str(single_error.value)
             assert repr(tokens[bad]) in str(extend_error.value)
         expected = list(dict.fromkeys(["<unk>", *known, *tokens[:bad]]))
         assert one_pass.tokens == one_at_a_time.tokens == tuple(expected)
-        assert [one_pass.id_of(tok) for tok in expected] == list(range(len(expected)))
+        assert one_pass.encode_tokens(expected) == list(range(len(expected)))
 
 
 class TestSplit:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import constant_detector
 from desk import DESK_DETECTOR, desk_data, desk_detector_dataset
 from oracles import (
     detector_gd_by_loop,
@@ -30,15 +31,16 @@ from privlm.detector import (
     _select_threshold,
     audit_context,
     build_detector_dataset,
-    constant_detector,
     default_synonyms,
     featurize,
-    identity_augmentation,
     load_synonyms,
     paraphrase,
     train_detector,
 )
 
+
+# An empty synonym table paraphrases nothing: the identity paraphraser.
+NO_PARAPHRASE = AugmentationConfig(synonym_table={}, substitution_rate=0.0, passes=0)
 
 NEUTRAL_LINES = [
     "the teacher visited the old bridge on monday",
@@ -200,7 +202,7 @@ class TestTrainDetector:
     def test_separable_toy_set_perfect_heldout(self):
         positives = [f"zzz marker sentence number {i}" for i in range(12)]
         negatives = NEUTRAL_LINES
-        ds = build_detector_dataset(positives, negatives, identity_augmentation())
+        ds = build_detector_dataset(positives, negatives, NO_PARAPHRASE)
         model = train_detector(ds, epochs=200, eta=2.0, seed=1, char_dim=512, word_dim=256)
         assert model.measured_gamma == 1.0
         scores = model.score_texts(negatives)
@@ -574,14 +576,14 @@ class TestContextAudit:
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         audit = audit_context(params, seq, target_index=5, alpha=1.0,
-                              cfg=identity_augmentation(), vocabulary=vocab)
+                              cfg=NO_PARAPHRASE, vocabulary=vocab)
         assert audit.found and audit.length == 0
 
     def test_alpha_zero_identity_full_prefix_qualifies(self, context_lm):
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         audit = audit_context(params, seq, target_index=5, alpha=0.0,
-                              cfg=identity_augmentation(), vocabulary=vocab)
+                              cfg=NO_PARAPHRASE, vocabulary=vocab)
         assert audit.found
         assert audit.length <= 4
         # full prefix always ties itself, so the worst case is the full prefix
@@ -591,7 +593,7 @@ class TestContextAudit:
         params, vocab = context_lm
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         audit = audit_context(params, seq, target_index=5, alpha=0.1,
-                              cfg=identity_augmentation(), vocabulary=vocab)
+                              cfg=NO_PARAPHRASE, vocabulary=vocab)
         assert audit.found
         assert 0 < audit.length < 4  # a proper suffix, shorter than the full prefix
 
@@ -615,7 +617,7 @@ class TestContextAudit:
                 shortest = length
                 break
         audit = audit_context(params, seq, target_index=5, alpha=alpha,
-                              cfg=identity_augmentation(), vocabulary=vocab)
+                              cfg=NO_PARAPHRASE, vocabulary=vocab)
         assert audit.found and audit.length == shortest
 
     def test_length_monotone_nonincreasing_in_alpha(self, context_lm):
@@ -624,7 +626,7 @@ class TestContextAudit:
         lengths = []
         for alpha in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
             audit = audit_context(params, seq, target_index=5, alpha=alpha,
-                                  cfg=identity_augmentation(), vocabulary=vocab)
+                                  cfg=NO_PARAPHRASE, vocabulary=vocab)
             lengths.append(audit.length if audit.found else float("inf"))
         assert lengths == sorted(lengths, reverse=True)
 
@@ -641,7 +643,7 @@ class TestContextAudit:
         seq = TokenSequence.from_text("Filler3 SECURITY Code is 450", vocab)
         cfg = AugmentationConfig(synonym_table={"bank": ["lender"]}, substitution_rate=1.0)
         got = audit_context(params, seq, 5, alpha, cfg, vocabulary=vocab)
-        want = audit_context(params, seq, 5, alpha, identity_augmentation(), vocabulary=vocab)
+        want = audit_context(params, seq, 5, alpha, NO_PARAPHRASE, vocabulary=vocab)
         assert got.found == want.found
         assert got.context_ids == want.context_ids
         assert (np.array(got.gaps_by_length).tobytes()
@@ -670,16 +672,16 @@ class TestContextAudit:
         seq = TokenSequence.from_text("filler0 security code is 450", vocab)
         for alpha in (math.nan, -0.1):
             with pytest.raises(DetectorError, match="^alpha must be >= 0$"):
-                audit_context(params, seq, 5, alpha, identity_augmentation(), vocabulary=vocab)
-        unbounded = audit_context(params, seq, 5, math.inf, identity_augmentation(), vocab)
+                audit_context(params, seq, 5, alpha, NO_PARAPHRASE, vocabulary=vocab)
+        unbounded = audit_context(params, seq, 5, math.inf, NO_PARAPHRASE, vocab)
         assert unbounded.found and unbounded.length == 0
 
     def test_index_validation(self, context_lm):
         params, vocab = context_lm
         seq = TokenSequence.from_text("security code is 450", vocab)
         with pytest.raises(DetectorError):
-            audit_context(params, seq, target_index=0, alpha=0.1, cfg=identity_augmentation(),
+            audit_context(params, seq, target_index=0, alpha=0.1, cfg=NO_PARAPHRASE,
                           vocabulary=vocab)
         with pytest.raises(DetectorError):
-            audit_context(params, seq, target_index=5, alpha=0.1, cfg=identity_augmentation(),
+            audit_context(params, seq, target_index=5, alpha=0.1, cfg=NO_PARAPHRASE,
                           vocabulary=vocab)

@@ -17,7 +17,7 @@ import privlm
 from privlm import attacks, detector, experiment, lm, privacy, synth
 from privlm.cli import main as cli_main
 from privlm.corpus import CorpusError, TokenSequence
-from privlm.detector import DetectorError, constant_detector
+from privlm.detector import DetectorError
 from privlm.experiment import (
     DETECTOR_SCHEMA,
     TRAIN_SCHEMA,
@@ -32,6 +32,8 @@ from privlm.experiment import (
     train_detector_from_config,
 )
 from privlm.report import write_report
+
+from conftest import constant_detector
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +110,13 @@ class TestConfigParsing:
         parsed = ExperimentConfig.from_file(cfg)
         assert parsed["secret_pattern"] == [r"pin is [0-9]+", r"code is [0-9]+"]
 
-    def test_bad_value_type_rejected(self, tmp_path, data_dir):
-        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", epochs="soon")
-        with pytest.raises(ExperimentError, match="bad int"):
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", "soon", "bad int value for 'epochs': 'soon'"),
+        ("sigma", "0", "sigma must be > 0, got 0.0"),
+    ], ids=["wrong_kind", "out_of_range"])
+    def test_bad_value_rejected_naming_the_file(self, tmp_path, data_dir, key, value, message):
+        cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", **{key: value})
+        with pytest.raises(ExperimentError, match="^" + re.escape(f"{cfg}: {message}") + "$"):
             parse_config_file(cfg, TRAIN_SCHEMA)
 
     def test_regime_requirements(self, tmp_path, data_dir):
@@ -158,7 +164,9 @@ class TestConfigParsing:
                                                                   regime, key, value):
         cfg = write_train_config(tmp_path / "c.cfg", data_dir, tmp_path / "o", regime=regime,
                                  **{key: value})
-        with pytest.raises(ExperimentError, match=f"^{key} must be"):
+        # A schema rule names the file; the regex check runs on the resolved config.
+        where = "" if key == "secret_pattern" else re.escape(f"{cfg}: ")
+        with pytest.raises(ExperimentError, match=f"^{where}{key} must be"):
             train(ExperimentConfig.from_file(cfg))
         assert not (tmp_path / "o").exists()
 
@@ -272,10 +280,12 @@ class TestTrainRun:
             run_attacks(tmp_path / "run" / "manifest.json")
         assert not (tmp_path / "run" / "attacks.csv").exists()
 
-    def test_attack_missing_epoch_rejected(self, nodp_run):
-        run_dir, _ = nodp_run
-        with pytest.raises(ExperimentError, match="no checkpoint"):
-            run_attacks(run_dir / "manifest.json", checkpoint_epoch=99)
+    def test_attack_missing_epoch_rejected(self, nodp_run, capsys):
+        path = nodp_run[0] / "manifest.json"
+        with pytest.raises(ExperimentError, match=re.escape(f"{path}: no checkpoint for epoch 99")):
+            run_attacks(path, checkpoint_epoch=99)
+        assert cli_main(["attack", "--manifest", str(path), "--checkpoint", "9"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no checkpoint for epoch 9\n"
 
     def test_attack_rejects_a_corpus_that_changed_the_vocabulary(self, data_dir, tmp_path):
         # Prepending lines reorders the frequency-sorted vocabulary, so the MI
@@ -514,6 +524,30 @@ class TestRunFiles:
         assert capsys.readouterr().err == (
             f"error: {csv_path}:3: run_id {fields[0]!r} epoch 1 has other values than on line 2\n"
         )
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_refuses_rows_left_by_an_earlier_run(self, data_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "a.cfg", data_dir, run_dir, epochs=1)
+        old = train(ExperimentConfig.from_file(cfg))["run_id"]
+        run_attacks(run_dir / "manifest.json")
+        cfg = write_train_config(tmp_path / "b.cfg", data_dir, run_dir, epochs=1, eta=0.3)
+        new = train(ExperimentConfig.from_file(cfg))["run_id"]
+        assert cli_main(self._argv("report", run_dir / "manifest.json", tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'attacks.csv'}: holds attacks on run {old}, "
+            f"but {run_dir / 'manifest.json'} is run {new}\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_refuses_a_run_given_twice(self, nodp_run, tmp_path, capsys):
+        run_dir = self._copy(nodp_run, tmp_path)
+        run_attacks(run_dir / "manifest.json", checkpoint_epoch=1)
+        first, again = run_dir / "manifest.json", tmp_path / "run" / ".." / "run" / "manifest.json"
+        argv = ["report", "--out", str(tmp_path / "rep"), str(first), str(again)]
+        assert cli_main(argv) == 1
+        run_id = load_manifest(first)["run_id"]
+        assert capsys.readouterr().err == f"error: run {run_id} is given twice: {first} and {again}\n"
         assert not (tmp_path / "rep").exists()
 
     def test_run_without_epochs_rejected_naming_the_manifest(self, data_dir, tmp_path):
@@ -964,7 +998,7 @@ class TestDetectorTraining:
             f"char_dim = 64\nword_dim = 32\n{key} = {value}\nout = {out}\n",
             encoding="utf-8",
         )
-        with pytest.raises(ExperimentError, match=f"^{key} must be"):
+        with pytest.raises(ExperimentError, match="^" + re.escape(f"{cfg}: {key} must be")):
             train_detector_from_config(cfg)
         assert not out.parent.exists()
 
